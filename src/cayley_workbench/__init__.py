@@ -11,10 +11,10 @@ from .frame_identities import (FrameInvariants, REFERENCE_MAGNITUDES,
 from .mirror import (MirrorReport, NotCayleyFreeError, SU3Structure, compose_acs,
                      mirror_pair, phi_expansion, su3_from_2frame)
 from .planes import (ACS, Frame2, Frame4, Plane4, acs_from_2frame, calibration_value,
-                     cayley_plane_from_3frame, comass, contains_cayley, found_cayley,
-                     is_cayley, is_cayley_free, is_cayley_octonionic,
-                     octonionic_residual, random_plane, standard_convention,
-                     triple_cross)
+                     cayley_plane_from_3frame, comass, contains_cayley,
+                     contains_cayley_batch, found_cayley, is_cayley, is_cayley_free,
+                     is_cayley_octonionic, octonionic_residual, random_plane,
+                     standard_convention, triple_cross)
 from .representations import (SplitBasis, casimir_spectrum, lambda2_split,
                               lambda3_split, lambda4_split, project, split,
                               spin7_lie_algebra)

@@ -212,6 +212,7 @@ def cmd_plane_comass(args):
         "config": _config(args, ("restarts", "steps", "seed", "phi")),
         "comass": res.value,
         "converged": res.converged,
+        "stops": res.stops,
         "witness": [[float(x) for x in row] for row in res.plane.basis],
     }
     if res.warning:
@@ -231,6 +232,7 @@ def cmd_plane_contains_cayley(args):
         "max_value": res.value,
         "witness": [[float(x) for x in row] for row in res.plane.basis],
         "converged": res.converged,
+        "stops": res.stops,
     }
     return payload, False
 

@@ -83,10 +83,8 @@ def identity_residual(i: int, frame, phi, coeffs) -> float:
 
 def pair_coords(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(N, 28) coordinates of u ^ v over the a < b pair basis."""
-    outer = np.einsum("na,nb->nab", U, V)
-    anti = outer - outer.transpose(0, 2, 1)
-    iu = np.triu_indices(8, 1)
-    return anti[:, iu[0], iu[1]]
+    a, b = np.triu_indices(8, 1)
+    return U[:, a] * V[:, b] - U[:, b] * V[:, a]
 
 
 def _phi_key(phi) -> tuple:

@@ -21,7 +21,6 @@ import numpy as np
 from . import octonions
 from .cayley import ConventionMap, as_cayley, as_kform, phi0, phi_octonionic, reconcile
 from .forms import evaluate
-from .runtime import run_indexed
 
 DEFAULT_CAYLEY_TOL = 1e-6
 
@@ -124,8 +123,8 @@ class Plane4:
 
 
 def gram_defect4(B: np.ndarray) -> float:
-    k = B.shape[1]
-    return float(np.max(np.abs(B.T @ B - np.eye(k))))
+    """Largest entry of B^T B - I, over a frame or a stack of frames."""
+    return float(np.max(np.abs(np.swapaxes(B, -1, -2) @ B - np.eye(B.shape[-1]))))
 
 
 # -- almost complex structures -------------------------------------------------
@@ -182,9 +181,7 @@ def acs_from_2frame(u, v, phi) -> ACS:
 
 def calibration_value(plane: Plane4, phi) -> float:
     """phi evaluated on an orthonormal oriented frame of the plane."""
-    T = as_cayley(phi).tensor
-    B = plane.basis
-    return float(np.einsum("ijkl,i,j,k,l->", T, B[:, 0], B[:, 1], B[:, 2], B[:, 3]))
+    return float(calibration_values_batch(plane.basis[None], phi)[0])
 
 
 def is_cayley(plane: Plane4, phi, tol: float = DEFAULT_CAYLEY_TOL) -> bool:
@@ -264,59 +261,103 @@ def random_plane(seed: int = 0) -> Plane4:
     return Plane4.random(np.random.default_rng(seed))
 
 
+def _orthonormal_stack(A: np.ndarray) -> np.ndarray:
+    """Q factors of a stack of frames, signed so that each R has a positive diagonal."""
+    q, r = np.linalg.qr(A)
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q
+
+
 def random_planes_batch(n: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of n Haar-random oriented orthonormal 8x4 frames."""
-    A = rng.normal(size=(n, 8, 4))
-    q, r = np.linalg.qr(A)
-    return q * np.sign(np.einsum("nii->ni", r))[:, None, :]
+    return _orthonormal_stack(rng.normal(size=(n, 8, 4)))
+
+
+def _pair_contraction(Tm: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T(a, b, ., .) for stacks of vectors (..., 8); Tm is T reshaped to 64 x 64."""
+    ab = (a[..., :, None] * b[..., None, :]).reshape(-1, 64)
+    return (ab @ Tm).reshape(a.shape + (8,))
 
 
 def calibration_values_batch(frames: np.ndarray, phi) -> np.ndarray:
-    T = as_cayley(phi).tensor
-    return np.einsum("ijkl,ni,nj,nk,nl->n", T, frames[:, :, 0], frames[:, :, 1],
-                     frames[:, :, 2], frames[:, :, 3], optimize=True)
+    Tm = as_cayley(phi).tensor.reshape(64, 64)
+    out = np.empty(len(frames))
+    for i in range(0, len(frames), 4096):  # 4096 planes bound the (n, 64) temporaries
+        F = frames[i:i + 4096]
+        S = _pair_contraction(Tm, F[:, :, 0], F[:, :, 1])
+        out[i:i + 4096] = np.einsum("nk,nkl,nl->n", F[:, :, 2], S, F[:, :, 3])
+    return out
 
 
-def _value_and_grad(T: np.ndarray, V: np.ndarray):
-    c1, c2, c3, c4 = V.T
-    S12 = np.einsum("ijkl,i,j->kl", T, c1, c2)
-    S34 = np.einsum("ijkl,k,l->ij", T, c3, c4)
-    val = float(c3 @ S12 @ c4)
-    G = np.column_stack([S34 @ c2, -S34 @ c1, S12 @ c4, -S12 @ c3])
-    return val, G
+def _value_and_grad(Tm: np.ndarray, W: np.ndarray, S: np.ndarray):
+    """Calibration values of the frames S @ W, with the Riemannian gradients in
+    W's coordinates and their norms; Tm is the 4-tensor reshaped to 64 x 64."""
+    V = S @ W
+    C = V.transpose(2, 0, 1)
+    S12, S34 = _pair_contraction(Tm, C[0::2], C[1::2])  # T(c1,c2,..), T(c3,c4,..)
+    a1, a2 = (S34 @ V[:, :, :2]).transpose(2, 0, 1)  # T(c3,c4,.,c1), T(c3,c4,.,c2)
+    b3, b4 = (S12 @ V[:, :, 2:]).transpose(2, 0, 1)  # T(c1,c2,.,c3), T(c1,c2,.,c4)
+    G = S.transpose(0, 2, 1) @ np.stack([a2, -a1, b4, -b3], axis=2)
+    D = G - W @ (W.transpose(0, 2, 1) @ G)
+    return np.einsum("bi,bi->b", C[2], b4), D, np.sqrt(np.einsum("bij,bij->b", D, D))
 
 
-def _ascend(T: np.ndarray, V: np.ndarray, steps: int, step0: float,
-            gtol: float) -> tuple[np.ndarray, float, bool]:
-    """Riemannian gradient ascent of the calibration value over 4-frames."""
-    m = T.shape[0]
-    val, G = _value_and_grad(T, V)
-    for _ in range(steps):
-        D = G - V @ (V.T @ G)
-        gn = float(np.linalg.norm(D))
-        if gn < gtol:
-            return V, val, True
-        t = step0
-        improved = False
-        while t > 1e-13:
-            q, r = np.linalg.qr(V + t * D)
-            cand = q * np.sign(np.diag(r))
-            cval, cG = _value_and_grad(T, cand)
-            if cval > val + 1e-4 * t * gn * gn:
-                V, val, G = cand, cval, cG
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return V, val, True  # stationary to line-search resolution
-    return V, val, False
+STOP_REASONS = ("gtol", "line_search_stall", "step_budget")
+
+
+def _ascend(T: np.ndarray, W: np.ndarray, S: np.ndarray, steps: int, step0: float,
+            gtol: float):
+    """Riemannian gradient ascent of the calibration value over a stack of 4-frames.
+
+    Row b of the (B, m, 4) stack W ascends over the 4-planes inside the span
+    of the orthonormal 8 x m frame S[b].  The rows advance in lockstep, one
+    stacked QR retraction per candidate, each with its own Armijo step that
+    starts at ``step0`` and halves on every rejection.  A row stops at
+    gradient norm ``gtol``, when its step falls to 1e-13 (line-search stall)
+    or after ``steps`` accepted steps.  Returns per row: frames, values,
+    stop codes (into STOP_REASONS), accepted steps and backtracks.
+    """
+    Tm = T.reshape(64, 64)
+    B = len(W)
+    out = (np.empty_like(W), np.empty(B), *(np.empty(B, dtype=int) for _ in range(3)))
+    rows, t = np.arange(B), np.full(B, float(step0))
+    k, nb = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    val, D, gn = _value_and_grad(Tm, W, S)
+    while rows.size:
+        budget, small = k >= steps, gn < gtol
+        done = budget | small | ~(t > 1e-13)
+        if done.any():  # retire finished rows; the rest stay contiguous
+            stop = np.where(budget, 2, np.where(small, 0, 1))
+            for o, x in zip(out, (W, val, stop, k, nb)):
+                o[rows[done]] = x[done]
+            rows, S, W, val, D, gn, t, k, nb = (x[~done] for x in
+                                                (rows, S, W, val, D, gn, t, k, nb))
+            continue
+        cand = _orthonormal_stack(W + t[:, None, None] * D)
+        cval, cD, cgn = _value_and_grad(Tm, cand, S)
+        ok = cval > val + 1e-4 * t * gn * gn
+        W, D = np.where(ok[:, None, None], cand, W), np.where(ok[:, None, None], cD, D)
+        val, gn = np.where(ok, cval, val), np.where(ok, cgn, gn)
+        k += ok
+        nb += ~ok
+        t = np.where(ok, step0, 0.5 * t)
+    return out
 
 
 @dataclass(frozen=True)
 class AscentResult:
+    """Best of a multistart ascent; ``stops`` counts restarts by STOP_REASONS, and
+    ``iterations`` / ``backtracks`` total their accepted and rejected steps."""
+
     value: float
     plane: Plane4
-    converged: bool
+    stops: dict
+    iterations: int
+    backtracks: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stops["step_budget"] == 0
 
     @property
     def warning(self) -> str | None:
@@ -330,16 +371,32 @@ def comass(phi, restarts: int = 64, steps: int = 500, seed: int = 0,
     For an admissible form this is the calibration bound 1, attained on
     the Cayley Grassmannian.
     """
-    T = as_cayley(phi).tensor
+    return contains_cayley_batch(np.eye(8)[None], phi, restarts, steps, seed, step0)[0]
 
-    def one(r: int):
-        rng = np.random.default_rng(seed + r)
-        V0 = orthonormal_frame(rng.normal(size=(8, 4)).T)
-        return _ascend(T, V0, steps, step0, gtol=1e-8)
 
-    results = run_indexed(one, restarts)
-    V, val, conv = max(results, key=lambda t: t[1])
-    return AscentResult(val, Plane4(V), all(c for *_, c in results))
+def contains_cayley_batch(subspaces, phi, restarts: int = 16, steps: int = 500,
+                          seed: int = 0, step0: float = 0.1) -> list[AscentResult]:
+    """contains_cayley for each frame of a (P, 8, m) stack, as one stacked ascent.
+
+    In every subspace restart r starts from the Q factor of
+    default_rng(seed + r).normal(size=(m, 4)); the first best restart wins.
+    """
+    S = np.asarray(subspaces, dtype=float)
+    if S.ndim != 3 or S.shape[1] != 8 or not 4 <= S.shape[2] <= 8:
+        raise ValueError("subspace frames must be 8 x m with 4 <= m <= 8")
+    if len(S) and gram_defect4(S) > 1e-8:
+        raise ValueError("subspace frame is not orthonormal")
+    P, _, m = S.shape
+    W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(m, 4))
+                                      for r in range(restarts)]))
+    frames, *per_row = _ascend(as_cayley(phi).tensor, np.tile(W0, (P, 1, 1)),
+                               np.repeat(S, restarts, axis=0), steps, step0, gtol=1e-8)
+    values, stop, iters, backs = (x.reshape(P, restarts) for x in per_row)
+    return [AscentResult(float(values[p, b]),
+                         Plane4(orthonormal_frame((S[p] @ frames[p * restarts + b]).T)),
+                         dict(zip(STOP_REASONS, np.bincount(stop[p], minlength=3).tolist())),
+                         int(iters[p].sum()), int(backs[p].sum()))
+            for p, b in enumerate(np.argmax(values, axis=1))]
 
 
 def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
@@ -349,25 +406,8 @@ def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
     Ascends the calibration value over 4-planes inside the subspace;
     ``value >= 1 - tol`` certifies the witness.  Check ``found(tol)``.
     """
-    S = np.column_stack([np.asarray(v, dtype=float) for v in subspace]) \
-        if not isinstance(subspace, np.ndarray) else subspace
-    m = S.shape[1]
-    if not 4 <= m <= 8:
-        raise ValueError("subspace dimension must be 4..8")
-    if gram_defect4(S) > 1e-8:
-        raise ValueError("subspace frame is not orthonormal")
-    T = as_cayley(phi).tensor
-    TS = np.einsum("ijkl,ia,jb,kc,ld->abcd", T, S, S, S, S, optimize=True)
-
-    def one(r: int):
-        rng = np.random.default_rng(seed + r)
-        W0 = orthonormal_frame(rng.normal(size=(m, 4)).T)
-        return _ascend(TS, W0, steps, step0=0.1, gtol=1e-8)
-
-    results = run_indexed(one, restarts)
-    W, val, _ = max(results, key=lambda t: t[1])
-    return AscentResult(val, Plane4(orthonormal_frame((S @ W).T)),
-                        all(c for *_, c in results))
+    S = subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace)
+    return contains_cayley_batch(S[None], phi, restarts, steps, seed)[0]
 
 
 def found_cayley(result: AscentResult, tol: float = DEFAULT_CAYLEY_TOL) -> bool:

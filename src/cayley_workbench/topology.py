@@ -159,13 +159,19 @@ def cay0_dual() -> CohClass4:
     return poincare_dual_12(cay0_class())
 
 
+#: (a, b) with pairing(cay0_dual(), gauss_class(chi, sigma)) = a chi + b sigma,
+#: since gauss_class is linear and the pairing bilinear
+_CAY0_GAUSS = tuple(pairing(cay0_dual(), gauss_class(*e)) for e in ((1, 0), (0, 1)))
+
+
 def intersection_with_cay0(chi: int, sigma: int) -> int:
     """Intersection number of the Gauss class with the Cayley-free locus.
 
     Composes cay0_dual, gauss_class and the pairing; the chain collapses
     to the Euler characteristic exactly.
     """
-    value = pairing(cay0_dual(), gauss_class(chi, sigma))
+    a, b = _CAY0_GAUSS
+    value = a * chi + b * sigma
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral intersection number {value}")
     return int(value)

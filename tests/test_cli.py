@@ -127,6 +127,7 @@ class TestPlaneCommands:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
         assert abs(json.loads(out1)["comass"] - 1.0) < 1e-5
+        assert sum(json.loads(out1)["stops"].values()) == 4
 
     def test_contains_cayley(self, capsys, tmp_path):
         path = tmp_path / "s5.json"
@@ -135,6 +136,7 @@ class TestPlaneCommands:
                                str(path), "--restarts", "6", "--seed", "0")
         assert code == 0
         assert json.loads(out)["contains_cayley"] is True
+        assert sum(json.loads(out)["stops"].values()) == 6
 
 
 class TestFrameCommands:

@@ -6,11 +6,11 @@ import pytest
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import phi0, phi_octonionic
 from cayley_workbench.forms import basis_vector
-from cayley_workbench.planes import (Frame2, Frame4, Plane4,
+from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _ascend,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
-                                     contains_cayley, found_cayley,
+                                     contains_cayley, contains_cayley_batch, found_cayley,
                                      hypercomplex_from_triple, is_cayley,
                                      is_cayley_free, is_cayley_octonionic,
                                      octonionic_residual, orthonormal_frame,
@@ -250,12 +250,43 @@ class TestOptimization:
         with pytest.raises(ValueError):
             contains_cayley(np.stack([ef(1), ef(1)], axis=1), P0)
 
-    def test_thread_pool_does_not_change_results(self, monkeypatch):
-        sequential = comass(P0, restarts=6, steps=200, seed=5)
-        monkeypatch.setenv("CAYLEY_WORKBENCH_THREADS", "4")
-        threaded = comass(P0, restarts=6, steps=200, seed=5)
-        assert threaded.value == sequential.value
-        assert np.array_equal(threaded.plane.basis, sequential.plane.basis)
+    def test_stacked_searches_match_separate_calls(self):
+        R, seed = 6, 5
+        rng = np.random.default_rng(11)
+        subs = np.stack([orthonormal_frame(rng.normal(size=(8, 6)).T) for _ in range(3)])
+        batched = contains_cayley_batch(subs, P0, restarts=R, seed=seed)
+        # P subspaces in one stack vs P scalar calls
+        for S, res in zip(subs, batched):
+            one = contains_cayley(S, P0, restarts=R, seed=seed)
+            assert abs(res.value - one.value) <= 1e-12 and res.stops == one.stops
+            assert np.max(np.abs(res.plane.basis - one.plane.basis)) <= 1e-12
+        # R restarts in one stack vs R batch-of-one calls seeded seed + r
+        searches = [(comass(P0, restarts=R, steps=200, seed=seed),
+                     [comass(P0, restarts=1, steps=200, seed=seed + r) for r in range(R)])]
+        searches += [(res, [contains_cayley(S, P0, restarts=1, seed=seed + r) for r in range(R)])
+                     for S, res in zip(subs, batched)]
+        for res, singles in searches:
+            assert abs(res.value - max(s.value for s in singles)) <= 1e-12
+            assert min(np.max(np.abs(res.plane.basis - s.plane.basis)) for s in singles) <= 1e-12
+            assert res.iterations == sum(s.iterations for s in singles)
+
+    def test_stop_gtol_from_a_cayley_plane(self):
+        # a Cayley plane maximizes the calibration: its gradient vanishes
+        I = np.eye(8)[None]
+        _, values, stop, iters, _ = _ascend(P0.tensor, I[:, :, :4], I, 500, 0.1, 1e-8)
+        assert STOP_REASONS[stop[0]] == "gtol" and iters[0] == 0 and values[0] == 1.0
+
+    def test_stop_line_search_stall_without_gtol(self):
+        V0 = random_planes_batch(4, np.random.default_rng(12))
+        _, values, stop, _, backtracks = _ascend(P0.tensor, V0, np.tile(np.eye(8), (4, 1, 1)),
+                                                 10_000, 0.1, 0.0)
+        assert [STOP_REASONS[s] for s in stop] == ["line_search_stall"] * 4
+        assert np.all(backtracks > 0) and np.all(np.abs(values - 1) < 1e-12)
+
+    def test_stop_step_budget(self):
+        res = comass(P0, restarts=4, steps=1, seed=0)
+        assert res.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 4}
+        assert res.iterations == 4 and not res.converged and res.warning
 
 
 class TestHypercomplex:
