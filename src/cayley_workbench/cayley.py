@@ -3,9 +3,12 @@
 Two constructions are provided.  ``phi0`` is the standard 14-term
 coordinate expression; ``phi_octonionic`` evaluates the triple cross
 product on basis quadruples.  The two live in different index
-conventions, so ``reconcile`` searches the signed-permutation group
-(8! * 2^8 candidates, support-pruned) for an exact dictionary between
-them, falling back to a minimal-discrepancy report.
+conventions, so ``reconcile`` scans the 8! permutations once, in
+lexicographic order and 720 at a time, scoring every sign pattern of each
+permutation from tabulated blade images.  The first exact signed
+permutation is the dictionary between them; without one, the first
+permutation with the fewest mismatched blades (under its lowest sign
+pattern) is reported.  The scan has a fixed, bounded cost.
 
 Admissibility of an arbitrary 4-form is certified by three auditable
 predicates: self-duality, squared norm 14, and a 21-dimensional
@@ -18,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 
 from . import octonions
-from .forms import (KForm, basis_vector, blade_masks, hodge, indices_of, inner,
-                    interior, wedge)
+from .forms import (KForm, _inversion_sign, basis_vector, blade_masks, hodge,
+                    indices_of, inner, interior, wedge)
 
 # 14 blades of the standard coordinate Cayley form, with signs.
 _PHI0_TERMS = {
@@ -83,7 +86,7 @@ class ConventionMap:
             sign = 1
             for i in indices_of(mask):
                 sign *= self.signs[i - 1]
-            sign *= _sort_sign(image)
+            sign *= _inversion_sign(image)
             key = tuple(sorted(image))
             terms[key] = terms.get(key, 0) + sign * c
         return KForm.from_terms(a.n, a.degree, terms)
@@ -95,15 +98,6 @@ class ConventionMap:
     def from_json_dict(data: dict) -> ConventionMap:
         return ConventionMap(tuple(int(p) for p in data["perm"]),
                              tuple(int(s) for s in data["signs"]))
-
-
-def _sort_sign(seq) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ def phi_octonionic(convention: ConventionMap | None = None) -> CayleyForm:
 
 @dataclass(frozen=True)
 class BestMismatch:
-    """Closest signed permutation found when no exact dictionary exists."""
+    """Closest signed permutation, returned when no exact dictionary exists."""
 
     map: ConventionMap
     mismatches: int
@@ -174,150 +168,89 @@ class BestMismatch:
     examined: int
 
 
-class BudgetExhausted(RuntimeError):
-    pass
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_PERMS_OF_6 = np.array(list(permutations(range(6))), dtype=np.uint8)  # lexicographic
 
 
-def reconcile(a, b, budget: int = 500_000):
-    """Signed permutation g with g . a = b, or the best mismatch found.
+def _permutation_chunks():
+    """The 8! permutations of 0..7 in lexicographic order, as 56 uint8
+    (720, 8) tables: one per choice of the first two images."""
+    for first, second in permutations(range(8), 2):
+        rest = np.array([i for i in range(8) if i not in (first, second)], dtype=np.uint8)
+        chunk = np.empty((720, 8), dtype=np.uint8)
+        chunk[:, 0], chunk[:, 1], chunk[:, 2:] = first, second, rest[_PERMS_OF_6]
+        yield chunk
 
-    Both inputs must have +-1 coefficients on basis blades.  The exact
-    search enumerates permutations lexicographically with pair-incidence
-    pruning, then solves for signs over GF(2); the first hit (with free
-    sign bits resolved to +1) is returned.
+
+def reconcile(a, b):
+    """Signed permutation g with g . a = b, or the closest one.
+
+    a and b must be forms of one degree on R^8 with +-1 coefficients on
+    equally many blades.  One scan covers the 8! permutations in
+    lexicographic order, 720 at a time, tabulating per permutation which
+    blade images land in b's support and the sign parity each needs; a
+    sign pattern then costs ``len(_diff(g.transport(a), b))``: one per
+    wrong sign, two per image outside b's support.  The first permutation
+    of cost 0 is returned with its signs solved over GF(2), free signs +1;
+    otherwise a ``BestMismatch`` holds the first permutation of least cost
+    under its lowest sign pattern (bit i-1 set flips coordinate i).
     """
     fa, fb = as_kform(a), as_kform(b)
+    if fa.n != 8 or fb.n != 8 or fa.degree != fb.degree:
+        raise ValueError("reconcile needs two forms of one degree on R^8")
     for f in (fa, fb):
         if any(c not in (1, -1) for c in f.terms.values()):
             raise ValueError("reconcile needs +-1 coefficients on basis blades")
-    supp_a, supp_b = sorted(fa.terms), set(fb.terms)
     if len(fa.terms) != len(fb.terms):
         raise ValueError("supports have different sizes; no signed permutation exists")
 
-    pair_a = _pair_counts(fa.terms)
-    pair_b = _pair_counts(fb.terms)
-    deg_a = [sum(pair_a[_pk(i, j)] for j in range(1, 9) if j != i) for i in range(1, 9)]
-    deg_b = [sum(pair_b[_pk(i, j)] for j in range(1, 9) if j != i) for i in range(1, 9)]
+    masks = list(fa.terms)
+    n = len(masks)
+    blades = np.array([[i - 1 for i in indices_of(m)] for m in masks],
+                      dtype=np.intp).reshape(n, fa.degree)
+    negative_a = np.array([fa.terms[m] < 0 for m in masks], dtype=bool)
+    coeff_b = np.zeros(256, dtype=np.int8)
+    coeff_b[list(fb.terms)] = list(fb.terms.values())
+    # the parity of sign pattern x over each blade of a, as packed bits; keep
+    # each distinct word once, with the lowest x that gives it
+    flips = np.arange(256, dtype=np.uint8)[:, None] & np.array(masks, dtype=np.uint8)
+    parity = np.packbits(_POPCOUNT[flips] & 1, axis=1)
+    lowest: dict[bytes, int] = {}
+    for x, word in enumerate(parity):
+        lowest.setdefault(word.tobytes(), x)
+    xs = list(lowest.values())
+    words = parity[xs]
+    left, right = np.triu_indices(fa.degree, 1)
 
-    counter = {"examined": 0}
-
-    def backtrack(prefix: list):
-        i = len(prefix) + 1
-        if i > 8:
-            counter["examined"] += 1
-            if counter["examined"] > budget:
-                raise BudgetExhausted(f"budget {budget} exhausted")
-            yield tuple(prefix)
-            return
-        for j in range(1, 9):
-            if j in prefix:
-                continue
-            if deg_a[i - 1] != deg_b[j - 1]:
-                continue
-            if any(pair_a[_pk(k + 1, i)] != pair_b[_pk(prefix[k], j)]
-                   for k in range(len(prefix))):
-                continue
-            prefix.append(j)
-            yield from backtrack(prefix)
-            prefix.pop()
-
-    for perm in backtrack([]):
-        if any(_image_mask(m, perm) not in supp_b for m in supp_a):
-            continue
-        signs = _solve_signs(fa, fb, perm)
-        if signs is not None:
-            g = ConventionMap(perm, signs)
-            if (g.transport(fa) - fb).is_zero():
-                return g
-
-    # no exact dictionary: scan permutations for the closest map
     best = None
-    from itertools import permutations as _perms
-    examined = counter["examined"]
-    for perm in _perms(range(1, 9)):
-        examined += 1
-        if examined > budget:
-            if best is None:
-                raise BudgetExhausted(f"budget {budget} exhausted")
-            break
-        signs = _greedy_signs(fa, fb, perm)
-        g = ConventionMap(perm, signs)
-        diff = _diff(g.transport(fa), fb)
-        if best is None or len(diff) < best[0]:
-            best = (len(diff), g, diff)
-    return BestMismatch(best[1], best[0], tuple(best[2]), examined)
-
-
-def _pk(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
-def _pair_counts(terms: dict) -> dict:
-    counts = {_pk(i, j): 0 for i in range(1, 9) for j in range(i + 1, 9)}
-    for mask in terms:
-        idx = indices_of(mask)
-        for p in combinations(idx, 2):
-            counts[p] += 1
-    return counts
-
-
-def _image_mask(mask: int, perm: tuple) -> int:
-    out = 0
-    for i in indices_of(mask):
-        out |= 1 << (perm[i - 1] - 1)
-    return out
-
-
-def _sign_rows(fa: KForm, fb: KForm, perm: tuple):
-    """GF(2) constraints prod_{i in B} eps_i = target sign, per support blade."""
-    rows = []
-    for mask, ca in fa.terms.items():
-        image = [perm[i - 1] for i in indices_of(mask)]
-        target_mask = _image_mask(mask, perm)
-        cb = fb.terms.get(target_mask, 0)
-        if cb == 0:
-            rows.append(None)
-            continue
-        s = cb * ca * _sort_sign(image)  # needed product of eps over the blade
-        rows.append((mask, 0 if s > 0 else 1))
-    return rows
-
-
-def _gf2_solve(rows):
-    """Solve eps-product constraints; rows are (support mask, parity bit)."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for row in rows:
-        m, r = row
-        while m:
-            top = 1 << (m.bit_length() - 1)
-            if top not in pivots:
-                pivots[top] = (m, r)
-                m = 0
+    for chunk in _permutation_chunks():
+        images = chunk[:, blades]  # (720, n, degree)
+        target = coeff_b[(np.uint8(1) << images).sum(-1, dtype=np.uint8)]
+        hit = target != 0
+        odd = (images[..., left] > images[..., right]).sum(-1, dtype=np.uint8) & 1
+        need = (odd == 1) ^ negative_a ^ (target < 0)
+        wrong = _POPCOUNT[(np.packbits(need, axis=1)[:, None] ^ words)
+                          & np.packbits(hit, axis=1)[:, None]].sum(-1, dtype=np.intp)
+        cost = wrong.min(1) + 2 * (n - hit.sum(1))
+        r = int(cost.argmin())
+        if best is None or cost[r] < best[0]:
+            best = (int(cost[r]), chunk[r], need[r], wrong[r])
+            if best[0] == 0:
                 break
-            pm, pr = pivots[top]
-            m ^= pm
-            r ^= pr
-        else:
-            if r:
-                return None  # inconsistent
-    # pivot rows only involve bits <= their leading bit: substitute upward
-    x = 0
-    for top in sorted(pivots):
-        m, r = pivots[top]
-        if (((m & ~top) & x).bit_count() + r) & 1:
-            x |= top
-    return tuple(-1 if (x >> i) & 1 else 1 for i in range(8))
+    cost, perm, need, wrong = best
+    perm = tuple(int(p) + 1 for p in perm)
+    if cost == 0:
+        return ConventionMap(perm, _signs(_gf2_solve(zip(masks, need.tolist()))))
+    g = ConventionMap(perm, _signs(xs[int(wrong.argmin())]))
+    diff = _diff(g.transport(fa), fb)
+    return BestMismatch(g, len(diff), tuple(diff), 40320)
 
 
-def _solve_signs(fa, fb, perm):
-    rows = _sign_rows(fa, fb, perm)
-    if any(r is None for r in rows):
-        return None
-    return _gf2_solve(rows)
+def _gf2_solve(rows) -> int:
+    """Flip bits x with parity(x & mask) = bit for each consistent row (mask, bit).
 
-
-def _greedy_signs(fa, fb, perm):
-    rows = [r for r in _sign_rows(fa, fb, perm) if r is not None]
+    Free bits stay 0 (sign +1).
+    """
     pivots: dict[int, tuple[int, int]] = {}
     for m, r in rows:
         while m:
@@ -328,12 +261,16 @@ def _greedy_signs(fa, fb, perm):
             pm, pr = pivots[top]
             m ^= pm
             r ^= pr
-        # inconsistent rows are dropped: best-effort fit
+    # pivot rows only involve bits <= their leading bit: substitute upward
     x = 0
     for top in sorted(pivots):
         m, r = pivots[top]
         if (((m & ~top) & x).bit_count() + r) & 1:
             x |= top
+    return x
+
+
+def _signs(x: int) -> tuple[int, ...]:
     return tuple(-1 if (x >> i) & 1 else 1 for i in range(8))
 
 

@@ -117,10 +117,10 @@ def cmd_phi_check(args):
 def cmd_phi_reconcile(args):
     a, b = _load_form(args.a), _load_form(args.b)
     try:
-        result = reconcile(a, b, budget=args.budget)
+        result = reconcile(a, b)
     except ValueError as ex:
         raise InputError(str(ex)) from ex
-    payload = {"config": _config(args, ("a", "b", "budget"))}
+    payload = {"config": _config(args, ("a", "b"))}
     if isinstance(result, ConventionMap):
         payload.update({"exact": True, "map": result.to_json_dict()})
     else:
@@ -241,14 +241,7 @@ def cmd_frame_identities(args):
     phi = _phi_source(args.phi)
     rows = []
     payload = {"config": _config(args, ("samples", "seed", "phi")), "identities": {}}
-    rng = np.random.default_rng(args.seed)
-    F = fid.sample_frames(args.samples, rng)
-    A, B = fid.batch_invariants(F, phi)
-    X = np.column_stack([A, B])
-    for i in (1, 2, 3):
-        fit = fid.extract_coefficients(i, args.samples, args.seed + i, phi)
-        L = fid.batch_identity_lhs(i, F, phi)
-        resid = float(np.max(np.abs(L - X @ np.array(fit.coeffs()))))
+    for i, fit, resid in verify.frame_identities(args.samples, args.seed, phi):
         ref = fid.REFERENCE_MAGNITUDES[i]
         ok = bool(np.allclose((abs(fit.c_a), abs(fit.c_b)), ref, atol=1e-9))
         payload["identities"][str(i)] = {
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="signed permutation between two forms")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--budget", type=int, default=500_000)
     p.set_defaults(func=cmd_phi_reconcile)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -136,20 +136,27 @@ def criterion_4_acs(seed: int = 0, frames: int = 1000) -> CriterionResult:
     })
 
 
+def frame_identities(samples: int, seed: int, phi) -> list:
+    """[(i, fit, max identity residual)] for i = 1, 2, 3: identity i is fitted
+    on frames seeded ``seed + i`` and checked on ``default_rng(seed)`` frames."""
+    F = fid.sample_frames(samples, np.random.default_rng(seed))
+    A, B = fid.batch_invariants(F, phi)
+    X = np.column_stack([A, B])
+    out = []
+    for i in (1, 2, 3):
+        fit = fid.extract_coefficients(i, samples, seed + i, phi)
+        L = fid.batch_identity_lhs(i, F, phi)
+        out.append((i, fit, float(np.max(np.abs(L - X @ np.array(fit.coeffs()))))))
+    return out
+
+
 def criterion_5_identities(seed: int = 0, samples: int = 10_000) -> CriterionResult:
     """Coefficient magnitudes (3,2), (4,2), (6,7); residuals; Cayley-free case."""
     t0 = time.perf_counter()
     p = phi0()
     details: dict = {"samples": samples, "identities": {}}
     checks: dict = {}
-    rng = np.random.default_rng(seed)
-    F = fid.sample_frames(samples, rng)
-    A, B = fid.batch_invariants(F, p)
-    X = np.column_stack([A, B])
-    for i in (1, 2, 3):
-        fit = fid.extract_coefficients(i, samples, seed + i, p)
-        L = fid.batch_identity_lhs(i, F, p)
-        resid = float(np.max(np.abs(L - X @ np.array(fit.coeffs()))))
+    for i, fit, resid in frame_identities(samples, seed, p):
         free = fid.extract_coefficients(i, samples, seed + 10 + i, p, cayley_free=True)
         mags = tuple(abs(c) for c in fit.coeffs())
         want = fid.REFERENCE_MAGNITUDES[i]

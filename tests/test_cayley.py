@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from cayley_workbench import octonions as o
-from cayley_workbench.cayley import (BestMismatch, BudgetExhausted, ConventionMap,
+from cayley_workbench.cayley import (BestMismatch, ConventionMap,
                                      admissibility_report, derivation_action,
                                      orbit_distance, phi0, phi_octonionic,
                                      reconcile, so8_basis_element,
                                      stabilizer_dimension)
 from cayley_workbench.forms import (KForm, blade, blade_masks, evaluate, hodge,
                                     indices_of, inner, volume_form, wedge)
+
+BROKEN_PHI0 = KForm(8, 4, {**phi0().form.terms, 0b1111: -1})  # dx1234 flipped
 
 
 class TestPhi0:
@@ -114,13 +116,26 @@ class TestReconcile:
         assert rec.transport(moved) == phi0().form
 
     def test_random_signed_permutation_roundtrips(self):
+        # the lexicographically first exact permutation, free signs +1
+        expected = [
+            ((1, 2, 3, 4, 5, 8, 6, 7), (1, 1, 1, -1, 1, -1, -1, 1)),
+            ((1, 2, 3, 4, 5, 6, 8, 7), (1, 1, 1, 1, 1, -1, -1, 1)),
+            ((1, 2, 3, 5, 7, 8, 4, 6), (1, 1, 1, 1, 1, 1, 1, -1)),
+            ((1, 2, 3, 5, 6, 4, 8, 7), (1, 1, 1, 1, 1, 1, 1, -1)),
+            ((1, 2, 3, 5, 4, 8, 7, 6), (1, 1, 1, 1, 1, -1, 1, 1)),
+            ((1, 2, 3, 5, 6, 8, 4, 7), (1, 1, 1, 1, 1, 1, 1, 1)),
+            ((1, 2, 3, 5, 4, 8, 7, 6), (1, 1, 1, 1, -1, -1, 1, -1)),
+            ((1, 2, 3, 5, 8, 7, 6, 4), (1, 1, 1, 1, -1, -1, -1, 1)),
+            ((1, 2, 3, 5, 7, 8, 4, 6), (1, 1, 1, 1, 1, 1, -1, 1)),
+            ((1, 2, 3, 5, 6, 8, 4, 7), (1, 1, 1, 1, 1, 1, -1, 1)),
+        ]
         rng = np.random.default_rng(3)
-        for _ in range(10):
+        for perm_signs in expected:
             perm = tuple(int(x) + 1 for x in rng.permutation(8))
             signs = tuple(int(s) for s in rng.choice([-1, 1], size=8))
             moved = ConventionMap(perm, signs).transport(phi0().form)
             rec = reconcile(moved, phi0())
-            assert isinstance(rec, ConventionMap)
+            assert rec == ConventionMap(*perm_signs)
             assert rec.transport(moved) == phi0().form
 
     def test_octonionic_reconciles_exactly(self):
@@ -131,24 +146,33 @@ class TestReconcile:
         assert rec == ConventionMap(tuple(range(1, 9)), (1, 1, 1, -1, 1, -1, -1, -1))
 
     def test_mismatch_reported_when_no_exact_map(self):
-        broken = dict(phi0().form.terms)
-        first = sorted(broken)[0]
-        broken[first] = -broken[first]
-        result = reconcile(KForm(8, 4, broken), phi0())
-        assert isinstance(result, BestMismatch)
-        assert result.mismatches > 0
-        assert result.diff
+        result = reconcile(BROKEN_PHI0, phi0())
+        assert result == BestMismatch(ConventionMap.identity(), 1,
+                                      (((1, 2, 3, 4), -1, 1),), 40320)
 
-    def test_budget_exhaustion(self):
-        broken = dict(phi0().form.terms)
-        first = sorted(broken)[0]
-        broken[first] = -broken[first]
-        with pytest.raises(BudgetExhausted):
-            reconcile(KForm(8, 4, broken), phi0(), budget=3)
+    def test_closest_map_to_a_flipped_transport(self):
+        rng = np.random.default_rng(5)
+        perm = tuple(int(x) + 1 for x in rng.permutation(8))
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=8))
+        terms = dict(ConventionMap(perm, signs).transport(phi0().form).terms)
+        flipped = sorted(terms)[int(rng.integers(14))]
+        terms[flipped] = -terms[flipped]
+        a = KForm(8, 4, terms)
+        result = reconcile(a, phi0())
+        assert isinstance(result, BestMismatch)
+        assert result.mismatches == 1 == len(result.diff)
+        wrong = result.map.transport(a) - phi0().form
+        assert [idx for idx, _ in wrong.blades()] == [idx for idx, _, _ in result.diff]
 
     def test_rejects_non_unit_coefficients(self):
         with pytest.raises(ValueError):
             reconcile(2 * phi0().form, phi0())
+
+    def test_rejects_other_dimensions_and_degrees(self):
+        with pytest.raises(ValueError):
+            reconcile(blade(7, 1, 2, 3, 4), blade(7, 1, 2, 3, 4))
+        with pytest.raises(ValueError):
+            reconcile(blade(8, 1, 2, 3), blade(8, 1, 2, 3, 4))
 
 
 class TestAdmissibility:
@@ -174,6 +198,12 @@ class TestAdmissibility:
         rep = admissibility_report(2 * phi0().form)
         assert not rep.norm14
         assert rep.stab_dim == 21
+
+    def test_fourteen_unit_terms_not_cayley(self):
+        rep = admissibility_report(BROKEN_PHI0)
+        assert rep.exact_match is None
+        assert not rep.self_dual and rep.norm14
+        assert not rep.admissible
 
     def test_float_form_numerical_rank(self):
         f = phi0().form

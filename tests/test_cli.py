@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from cayley_workbench.cayley import phi0, phi_octonionic
 from cayley_workbench.cli import build_parser, main
+from cayley_workbench.forms import KForm, blade
 
 FRAME_1234 = {"vectors": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
                           [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]}
@@ -15,6 +17,17 @@ FRAME_FREE = {"vectors": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
 SUBSPACE_5 = {"vectors": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
                           [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0],
                           [0, 0, 0, 0, 1, 0, 0, 0]]}
+
+BROKEN_PHI0 = KForm(8, 4, {**phi0().form.terms, 0b1111: -1})  # dx1234 flipped
+
+
+@pytest.fixture
+def form_file(tmp_path):
+    def write(form):
+        path = tmp_path / f"form{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(form.to_json_dict()))
+        return str(path)
+    return write
 
 
 @pytest.fixture
@@ -70,32 +83,44 @@ class TestPhiCommands:
         assert payload["value"] == 1.0
         assert payload["raw_value"] == 1
 
-    def test_check_builtin(self, capsys, tmp_path):
-        from cayley_workbench.cayley import phi0
-        form_path = tmp_path / "phi0.json"
-        form_path.write_text(json.dumps(phi0().form.to_json_dict()))
-        code, out, _ = run_cli(capsys, "phi", "check", "--input", str(form_path))
+    def test_check_builtin(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "check", "--input", form_file(phi0().form))
         assert code == 0
         payload = json.loads(out)
         assert payload["admissible"] is True
         assert payload["stab_dim"] == 21
 
-    def test_check_with_descent(self, capsys, tmp_path):
-        from cayley_workbench.cayley import phi0
-        form_path = tmp_path / "phi0.json"
-        form_path.write_text(json.dumps(phi0().form.to_json_dict()))
-        code, out, _ = run_cli(capsys, "phi", "check", "--input", str(form_path),
+    def test_check_with_descent(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "check", "--input", form_file(phi0().form),
                                "--descend")
         assert code == 0
         assert json.loads(out)["orbit_distance_to_phi0"] < 1e-8
 
-    def test_reconcile_builtins(self, capsys, tmp_path):
-        from cayley_workbench.cayley import phi0, phi_octonionic
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(phi_octonionic().form.to_json_dict()))
-        b.write_text(json.dumps(phi0().form.to_json_dict()))
-        code, out, _ = run_cli(capsys, "phi", "reconcile", "--a", str(a), "--b", str(b))
+    def test_check_fourteen_unit_terms_not_cayley(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "check", "--input", form_file(BROKEN_PHI0))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact_match"] is None
+        assert payload["admissible"] is False
+
+    def test_reconcile_closest_map(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "reconcile", "--a", form_file(BROKEN_PHI0),
+                               "--b", form_file(phi0().form))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] is False and payload["mismatches"] == 1
+        assert payload["map"] == {"perm": list(range(1, 9)), "signs": [1] * 8}
+        assert payload["diff"] == [{"idx": [1, 2, 3, 4], "got": -1, "want": 1}]
+
+    def test_reconcile_rejects_unequal_degrees(self, capsys, form_file):
+        code, _, err = run_cli(capsys, "phi", "reconcile", "--a", form_file(blade(8, 1, 2, 3)),
+                               "--b", form_file(blade(8, 1, 2, 3, 4)))
+        assert code == 2
+        assert "one degree" in err
+
+    def test_reconcile_builtins(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "reconcile", "--a",
+                               form_file(phi_octonionic().form), "--b", form_file(phi0().form))
         assert code == 0
         payload = json.loads(out)
         assert payload["exact"] is True
