@@ -132,15 +132,12 @@ def phi0() -> CayleyForm:
 
 @lru_cache(maxsize=1)
 def _phi_oct_base() -> KForm:
-    terms = {}
-    units = [octonions.basis(i) for i in range(8)]
-    for q in combinations(range(8), 4):
-        a, b, c, d = q
-        val = octonions.dot(octonions.cross3(units[a], units[b], units[c]), units[d])
-        val = int(round(float(val)))
-        if val:
-            terms[tuple(i + 1 for i in q)] = val
-    return KForm.from_terms(8, 4, terms)
+    # <e_a x e_b x e_c, e_d> over the 70 quadruples a < b < c < d, as one stack
+    quads = np.array(list(combinations(range(8), 4)))
+    E = np.eye(8)
+    crossed = octonions.cross3(E[quads[:, 0]], E[quads[:, 1]], E[quads[:, 2]])
+    vals = np.rint(crossed[np.arange(len(quads)), quads[:, 3]]).astype(int).tolist()
+    return KForm.from_terms(8, 4, {tuple(q): v for q, v in zip((quads + 1).tolist(), vals) if v})
 
 
 def phi_octonionic(convention: ConventionMap | None = None) -> CayleyForm:

@@ -184,8 +184,10 @@ def cmd_plane_test(args):
 
 def cmd_plane_sample(args):
     phi = _phi_source(args.phi)
-    rng = np.random.default_rng(args.seed)
     n = args.n
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
+    rng = np.random.default_rng(args.seed)
     chunk = 200_000
     maxabs, near = 0.0, 0
     total = 0
@@ -224,8 +226,7 @@ def cmd_plane_contains_cayley(args):
     phi = _phi_source(args.phi)
     vectors = _load_vectors(args.subspace)
     S = orthonormal_frame(vectors)
-    res = contains_cayley(S, phi, restarts=args.restarts, steps=args.steps,
-                          seed=args.seed, tol=args.tol)
+    res = contains_cayley(S, phi, restarts=args.restarts, steps=args.steps, seed=args.seed)
     payload = {
         "config": _config(args, ("subspace", "restarts", "steps", "seed", "tol", "phi")),
         "contains_cayley": found_cayley(res, args.tol),

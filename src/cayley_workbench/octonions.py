@@ -3,8 +3,13 @@
 Octonions are 8-vectors with the real part in slot 0.  The multiplication
 table is generated by doubling R -> C -> H -> O with the recursion
 (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)), never hand-entered, so
-the table itself is an artifact the test suite can interrogate.  All
-arithmetic is dtype-agnostic: integer and Fraction inputs stay exact.
+the table itself is an artifact the test suite can interrogate.
+
+Products, conjugates, associators and triple crosses work over the last
+axis of (..., 8) stacks; one octonion is a stack of none.  An ndarray
+input gives a float array out.  Otherwise the same contraction runs on
+object arrays, so integer and Fraction inputs stay exact and a tuple in
+gives a tuple out.
 """
 
 from __future__ import annotations
@@ -40,51 +45,49 @@ def _cd_sub(x: list, y: list) -> list:
     return [a - b for a, b in zip(x, y)]
 
 
-def _build_table() -> list[list[tuple[int, int]]]:
-    """table[i][j] = (k, sign) with e_i e_j = sign * e_k."""
-    table = []
-    for i in range(DIM):
-        row = []
-        ei = [1 if t == i else 0 for t in range(DIM)]
-        for j in range(DIM):
-            ej = [1 if t == j else 0 for t in range(DIM)]
-            prod = _cd_mul(ei, ej)
-            nz = [(k, c) for k, c in enumerate(prod) if c != 0]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
-            row.append((nz[0][0], nz[0][1]))
-        table.append(row)
-    return table
+_UNITS = np.eye(DIM, dtype=int).tolist()
+
+#: STRUCTURE[i, j, k] = coefficient of e_k in e_i e_j (integers)
+STRUCTURE = np.array([[_cd_mul(ei, ej) for ej in _UNITS] for ei in _UNITS])
+assert (np.abs(STRUCTURE).sum(axis=-1) == 1).all()  # every e_i e_j is +-e_k
+
+#: MUL_TABLE[i][j] = (k, sign) with e_i e_j = sign * e_k
+MUL_TABLE = [[(k, int(STRUCTURE[i, j, k])) for j, k in enumerate(np.abs(S).argmax(-1).tolist())]
+             for i, S in enumerate(STRUCTURE)]
+
+_CONJ = np.array([1] + [-1] * (DIM - 1))
 
 
-MUL_TABLE = _build_table()
+def _arrays(*xs) -> list:
+    """Float arrays when any input is an ndarray, else exact object arrays."""
+    dtype = float if any(isinstance(x, np.ndarray) for x in xs) else object
+    return [np.asarray(x, dtype=dtype) for x in xs]
 
-#: structure[i, j, k] = coefficient of e_k in e_i e_j (floats, for einsum use)
-STRUCTURE = np.zeros((DIM, DIM, DIM))
-for _i in range(DIM):
-    for _j in range(DIM):
-        _k, _s = MUL_TABLE[_i][_j]
-        STRUCTURE[_i, _j, _k] = _s
+
+def _like(out: np.ndarray):
+    """A tuple for an exact (object) result, else the float array."""
+    return tuple(out) if out.dtype == object else out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row j of La holds the coordinates of a e_j
+    La = (a @ STRUCTURE.reshape(DIM, DIM * DIM)).reshape(a.shape[:-1] + (DIM, DIM))
+    return (b[..., None, :] @ La)[..., 0, :]
+
+
+def _cross2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a (conj(b) c) - c (conj(b) a), twice the triple cross product."""
+    cb = b * _CONJ
+    return _mul(a, _mul(cb, c)) - _mul(c, _mul(cb, a))
 
 
 def mul(x: Sequence, y: Sequence):
     """Octonion product, exact for exact inputs."""
-    out = [0] * DIM
-    for i in range(DIM):
-        xi = x[i]
-        if xi == 0:
-            continue
-        row = MUL_TABLE[i]
-        for j in range(DIM):
-            yj = y[j]
-            if yj == 0:
-                continue
-            k, s = row[j]
-            out[k] = out[k] + xi * yj if s > 0 else out[k] - xi * yj
-    return _like(x, y, out)
+    return _like(_mul(*_arrays(x, y)))
 
 
 def conj(x: Sequence):
-    return _like(x, x, [x[0]] + [-x[i] for i in range(1, DIM)])
+    return _like(_arrays(x)[0] * _CONJ)
 
 
 def dot(x: Sequence, y: Sequence):
@@ -103,7 +106,8 @@ def basis(i: int) -> tuple:
 
 def associator(x: Sequence, y: Sequence, z: Sequence):
     """(xy)z - x(yz); zero exactly on any associative subalgebra."""
-    return _like(x, y, [a - b for a, b in zip(mul(mul(x, y), z), mul(x, mul(y, z)))])
+    a, b, c = _arrays(x, y, z)
+    return _like(_mul(_mul(a, b), c) - _mul(a, _mul(b, c)))
 
 
 def cross3(x: Sequence, y: Sequence, z: Sequence):
@@ -112,14 +116,10 @@ def cross3(x: Sequence, y: Sequence, z: Sequence):
     Alternating in (x, y, z); for orthonormal arguments the result is a
     unit octonion orthogonal to all three.
     """
-    cy = conj(y)
-    lhs = mul(x, mul(cy, z))
-    rhs = mul(z, mul(cy, x))
-    half = [(a - b) / 2 for a, b in zip(lhs, rhs)]
-    return _like(x, y, half)
+    return _like(_cross2(*_arrays(x, y, z)) / 2)
 
 
-def cayley_identity_residual(x: Sequence, y: Sequence, z: Sequence, u: Sequence) -> float:
+def cayley_identity_residual(x: Sequence, y: Sequence, z: Sequence, u: Sequence):
     """Imaginary-part mismatch of (x(conj(y)z))conj(u) and (z(conj(y)x))conj(u).
 
     The two products differ by twice the triple cross product times
@@ -128,17 +128,9 @@ def cayley_identity_residual(x: Sequence, y: Sequence, z: Sequence, u: Sequence)
     i.e. a Cayley 4-plane, so the imaginary parts agree precisely there.
     Comparing the full products instead would report a constant gap of 2
     on every Cayley plane, which is why the real part is excluded.
+    A float for one quadruple, an array over stacks.
     """
-    cy = conj(y)
-    cu = conj(u)
-    lhs = mul(mul(x, mul(cy, z)), cu)
-    rhs = mul(mul(z, mul(cy, x)), cu)
-    diff = [a - b for a, b in zip(lhs[1:], rhs[1:])]
-    return float(np.sqrt(float(sum(d * d for d in diff))))
-
-
-def _like(x, y, out: list):
-    """Return a numpy array when either input is one, else a tuple."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.asarray(out, dtype=float)
-    return tuple(out)
+    a, b, c, d = _arrays(x, y, z, u)
+    diff = _mul(_cross2(a, b, c), d * _CONJ)[..., 1:]
+    r = np.sqrt(np.asarray(np.sum(diff * diff, axis=-1), dtype=float))
+    return float(r) if r.ndim == 0 else r

@@ -28,15 +28,16 @@ DEFAULT_CAYLEY_TOL = 1e-6
 def orthonormal_frame(vectors, tol: float = 1e-12) -> np.ndarray:
     """Columns: the Gram-Schmidt orthonormalization of the given vectors.
 
-    Keeps the orientation of the input order (QR with positive diagonal).
-    Raises on (numerically) dependent input.
+    Each vector may be one 8-vector or an (N, 8) stack; stacks give an
+    (N, 8, k) stack of frames.  Keeps the orientation of the input order
+    (QR with positive diagonal).  Raises when any frame is (numerically)
+    dependent.
     """
-    A = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    q, r = np.linalg.qr(A)
-    d = np.diag(r)
-    if np.min(np.abs(d)) < tol * max(1.0, float(np.abs(d).max())):
+    q, r = np.linalg.qr(np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.any(np.abs(d).min(-1) < tol * np.maximum(1.0, np.abs(d).max(-1))):
         raise ValueError("degenerate frame: vectors are linearly dependent")
-    return q * np.sign(d)
+    return q * np.sign(d)[..., None, :]
 
 
 def _is_exact(vs) -> bool:
@@ -134,32 +135,35 @@ def gram_defect4(B: np.ndarray) -> float:
 class ACS:
     """Orthogonal endomorphism squaring to minus the identity."""
 
-    J: np.ndarray
+    J: np.ndarray  # 8 x 8, or an (N, 8, 8) stack
 
     def residuals(self) -> dict:
-        J = self.J
-        return {
-            "square": float(np.linalg.norm(J @ J + np.eye(len(J)))),
-            "orthogonality": float(np.linalg.norm(J.T @ J - np.eye(len(J)))),
-        }
+        """Frobenius norms of J^2 + 1 and J^T J - 1; arrays over a stack."""
+        J, one = self.J, np.eye(8)
+        r = {"square": J @ J + one, "orthogonality": np.swapaxes(J, -1, -2) @ J - one}
+        return {k: np.linalg.norm(x, axis=(-2, -1)) for k, x in r.items()}
 
     def is_valid(self, tol: float = 1e-10) -> bool:
         r = self.residuals()
-        return r["square"] < tol and r["orthogonality"] < tol
+        return bool(np.all(r["square"] < tol) and np.all(r["orthogonality"] < tol))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 def acs_contraction_matrix(u, v, phi) -> np.ndarray:
     """The raw operator of the 2-form phi(u, v, ., .) on span{u,v}-perp.
 
     This is the triple-cross action before any extension: it annihilates
-    span{u,v} (where the contraction vanishes identically).
+    span{u,v} (where the contraction vanishes identically).  u and v may
+    be (N, 8) stacks, giving (N, 8, 8).
     """
-    T = as_cayley(phi).tensor
     F = orthonormal_frame([u, v])
-    uu, vv = F[:, 0], F[:, 1]
-    N = np.einsum("ijkl,i,j->kl", T, uu, vv)
-    P = np.eye(8) - np.outer(uu, uu) - np.outer(vv, vv)
-    return P @ N.T @ P
+    uu, vv = F[..., 0], F[..., 1]
+    N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), uu, vv)
+    P = np.eye(8) - _outer(uu, uu) - _outer(vv, vv)
+    return P @ np.swapaxes(N, -1, -2) @ P
 
 
 def acs_from_2frame(u, v, phi) -> ACS:
@@ -168,11 +172,12 @@ def acs_from_2frame(u, v, phi) -> ACS:
     On the orthogonal complement of span{u,v} it is the triple-cross
     operator <Jx, w> = phi(u, v, x, w); on span{u,v} it is extended by
     J(u) = v, J(v) = -u, the unique skew completion to an isometry.
+    (N, 8) stacks of u and v give one ACS holding an (N, 8, 8) stack.
     """
     F = orthonormal_frame([u, v])
-    uu, vv = F[:, 0], F[:, 1]
+    uu, vv = F[..., 0], F[..., 1]
     J = acs_contraction_matrix(uu, vv, phi)
-    J += np.outer(vv, uu) - np.outer(uu, vv)
+    J += _outer(vv, uu) - _outer(uu, vv)
     return ACS(J)
 
 
@@ -213,44 +218,50 @@ def standard_convention() -> ConventionMap:
     return result
 
 
-def octonionic_residual(plane, convention: ConventionMap | None = None) -> float:
+def octonionic_residual(plane, convention: ConventionMap | None = None):
     """Residual of the octonion Cayley identity on an orthonormal frame.
 
-    The frame is pulled back to octonion coordinates through the
-    convention map (default: the reconciled one), where the residual
-    vanishes exactly on Cayley 4-planes.
+    ``plane`` is a Plane4, an orthonormal 8 x 4 frame, an (N, 8, 4) stack
+    of them (one residual each) or a sequence of four vectors, which is
+    orthonormalized first.  The frame is pulled back to octonion
+    coordinates through the convention map (default: the reconciled one),
+    where the residual vanishes exactly on Cayley 4-planes.
     """
-    g = (convention or standard_convention()).inverse()
-    B = plane.basis if isinstance(plane, Plane4) else orthonormal_frame(plane)
-    pulled = [np.asarray(g.apply_to_vector(B[:, j]), dtype=float) for j in range(4)]
-    return octonions.cayley_identity_residual(*pulled)
+    if isinstance(plane, Plane4):
+        B = plane.basis
+    else:
+        B = plane if isinstance(plane, np.ndarray) else orthonormal_frame(plane)
+    pulled = (convention or standard_convention()).matrix().T @ B
+    return octonions.cayley_identity_residual(*np.moveaxis(pulled, -1, 0))
 
 
 def is_cayley_octonionic(plane, convention: ConventionMap | None = None,
-                         tol: float = DEFAULT_CAYLEY_TOL) -> bool:
+                         tol: float = DEFAULT_CAYLEY_TOL):
     """Cayley test through the octonion identity; see octonionic_residual."""
     return octonionic_residual(plane, convention) < tol
 
 
 def triple_cross(u, v, w, convention: ConventionMap | None = None) -> np.ndarray:
-    """Octonion triple cross product expressed in R^8 coordinates."""
-    g = convention or standard_convention()
-    ginv = g.inverse()
-    pulled = [np.asarray(ginv.apply_to_vector(np.asarray(x, dtype=float)))
-              for x in (u, v, w)]
-    crossed = octonions.cross3(*pulled)
-    return np.asarray(g.apply_to_vector(crossed), dtype=float)
+    """Octonion triple cross product expressed in R^8 coordinates.
+
+    u, v, w may be (N, 8) stacks.  Row vectors x map to octonion
+    coordinates as x @ G and back as y @ G^T, G the convention's matrix.
+    """
+    G = (convention or standard_convention()).matrix()
+    return octonions.cross3(*(np.asarray(x, dtype=float) @ G for x in (u, v, w))) @ G.T
 
 
-def cayley_plane_from_3frame(u, v, w, convention: ConventionMap | None = None) -> Plane4:
+def cayley_plane_from_3frame(u, v, w, convention: ConventionMap | None = None):
     """The unique Cayley plane spanned by an independent triple.
 
     Completes the orthonormalized triple with its triple cross product;
-    the returned orientation calibrates to +1.
+    the returned orientation calibrates to +1.  For (N, 8) stacks of u,
+    v, w the result is the (N, 8, 4) stack of orthonormal frames.
     """
     F = orthonormal_frame([u, v, w])
-    x = triple_cross(F[:, 0], F[:, 1], F[:, 2], convention)
-    return Plane4(np.column_stack([F[:, 0], F[:, 1], F[:, 2], x]))
+    x = triple_cross(F[..., 0], F[..., 1], F[..., 2], convention)
+    B = np.concatenate([F, x[..., None]], axis=-1)
+    return Plane4(B) if B.ndim == 2 else B
 
 
 # -- sampling and optimization ---------------------------------------------------
@@ -275,8 +286,7 @@ def random_planes_batch(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _pair_contraction(Tm: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """T(a, b, ., .) for stacks of vectors (..., 8); Tm is T reshaped to 64 x 64."""
-    ab = (a[..., :, None] * b[..., None, :]).reshape(-1, 64)
-    return (ab @ Tm).reshape(a.shape + (8,))
+    return (_outer(a, b).reshape(-1, 64) @ Tm).reshape(a.shape + (8,))
 
 
 def calibration_values_batch(frames: np.ndarray, phi) -> np.ndarray:
@@ -384,6 +394,8 @@ def contains_cayley_batch(subspaces, phi, restarts: int = 16, steps: int = 500,
     S = np.asarray(subspaces, dtype=float)
     if S.ndim != 3 or S.shape[1] != 8 or not 4 <= S.shape[2] <= 8:
         raise ValueError("subspace frames must be 8 x m with 4 <= m <= 8")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if len(S) and gram_defect4(S) > 1e-8:
         raise ValueError("subspace frame is not orthonormal")
     P, _, m = S.shape
@@ -400,11 +412,11 @@ def contains_cayley_batch(subspaces, phi, restarts: int = 16, steps: int = 500,
 
 
 def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
-                    seed: int = 0, tol: float = DEFAULT_CAYLEY_TOL) -> AscentResult:
+                    seed: int = 0) -> AscentResult:
     """Search a subspace (orthonormal m-frame, 4 <= m <= 8) for a Cayley plane.
 
     Ascends the calibration value over 4-planes inside the subspace;
-    ``value >= 1 - tol`` certifies the witness.  Check ``found(tol)``.
+    ``found_cayley(result, tol)`` certifies the witness at ``value >= 1 - tol``.
     """
     S = subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace)
     return contains_cayley_batch(S[None], phi, restarts, steps, seed)[0]
@@ -472,13 +484,10 @@ def hypercomplex_from_triple(xi: Plane4, alpha, beta, gamma, phi) -> Hypercomple
             if abs(float(transverse[i] @ transverse[j])) > 1e-6:
                 raise ValueError("transverse directions are not mutually orthogonal")
 
-    Js = []
-    leakage = 0.0
-    for F in frames:
-        J = acs_from_2frame(F[:, 0], F[:, 1], phi).J
-        leakage = max(leakage, float(np.linalg.norm((np.eye(8) - P) @ J @ B)))
-        Js.append(B.T @ J @ B)
-    res = {"leakage": leakage}
+    F = np.stack(frames)
+    J = acs_from_2frame(F[:, :, 0], F[:, :, 1], phi).J
+    Js = list(B.T @ J @ B)
+    res = {"leakage": float(np.max(np.linalg.norm((np.eye(8) - P) @ J @ B, axis=(-2, -1))))}
     for name, Jr in zip("abc", Js):
         res[f"square_{name}"] = float(np.linalg.norm(Jr @ Jr + np.eye(4)))
     prods = []

@@ -262,6 +262,17 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "plane", "test", "--frame", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_sample_count_must_be_positive(self, capsys, n):
+        code, out, err = run_cli(capsys, "plane", "sample", "--n", n)
+        assert code == 2 and out == ""
+        assert "--n must be at least 1" in err
+
+    def test_comass_needs_a_restart(self, capsys):
+        code, out, err = run_cli(capsys, "plane", "comass", "--restarts", "0")
+        assert code == 2 and out == ""
+        assert "restarts must be at least 1" in err
+
 
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "cayley_workbench.cli",

@@ -1,9 +1,11 @@
 """Octonion algebra: table facts, composition laws, triple cross, Cayley residual."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from cayley_workbench import octonions as o
-from cayley_workbench.octonions import _cd_mul
+from cayley_workbench.octonions import _cd_conj, _cd_mul
 
 
 def rand_pair(rng):
@@ -131,3 +133,36 @@ class TestCayleyResidual:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(8, 4)))
         assert o.cayley_identity_residual(*(q[:, j] for j in range(4))) > 1e-3
+
+
+class TestStacks:
+    def _units(self, rng, n):
+        x = rng.normal(size=(n, 8))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def test_stacked_mul_and_cross3_match_doubling_row_by_row(self):
+        rng = np.random.default_rng(9)
+        x, y, z = (self._units(rng, 200) for _ in range(3))
+        prod, cross = o.mul(x, y), o.cross3(x, y, z)
+        assert prod.shape == cross.shape == (200, 8)
+        for a, b, c, p, q in zip(x, y, z, prod, cross):
+            ref = _cd_mul(list(a), list(b))
+            cb = _cd_conj(list(b))
+            ref3 = (np.array(_cd_mul(list(a), _cd_mul(cb, list(c))))
+                    - np.array(_cd_mul(list(c), _cd_mul(cb, list(a))))) / 2
+            assert np.max(np.abs(p - ref)) <= 1e-15
+            assert np.max(np.abs(q - ref3)) <= 1e-15
+
+    def test_fraction_in_fraction_out(self):
+        x = tuple(Fraction(i + 1, 3) for i in range(8))
+        y = tuple(Fraction(1, i + 2) for i in range(8))
+        z = o.basis(5)
+        for out in (o.mul(x, y), o.conj(x), o.associator(x, y, z), o.cross3(x, y, z)):
+            assert isinstance(out, tuple) and len(out) == 8
+            assert all(isinstance(c, Fraction) for c in out)
+        assert o.mul(x, y) == tuple(_cd_mul(list(x), list(y)))
+
+    def test_tuple_in_tuple_out(self):
+        assert isinstance(o.mul(o.basis(1), o.basis(2)), tuple)
+        assert isinstance(o.cross3(o.basis(1), o.basis(2), o.basis(4)), tuple)
+        assert isinstance(o.mul(np.asarray(o.basis(1)), o.basis(2)), np.ndarray)

@@ -193,6 +193,48 @@ class TestTripleCross:
             cayley_plane_from_3frame(e(1), e(2), e(1))
 
 
+class TestStacks:
+    def test_stacked_octonionic_residual_matches_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        frames = np.concatenate([random_planes_batch(20, rng),
+                                 cayley_plane_from_3frame(*rng.normal(size=(3, 20, 8)))])
+        stacked = octonionic_residual(frames)
+        flags = is_cayley_octonionic(frames)
+        assert stacked.shape == flags.shape == (40,)
+        for F, r, flag in zip(frames, stacked, flags):
+            assert abs(octonionic_residual(Plane4(F)) - r) <= 1e-15
+            assert is_cayley_octonionic(Plane4(F)) == flag
+        assert not flags[:20].any() and flags[20:].all()
+
+    def test_stacked_cayley_planes_match_batch_of_one(self):
+        U, V, W = np.random.default_rng(14).normal(size=(3, 30, 8))
+        stacked = cayley_plane_from_3frame(U, V, W)
+        assert stacked.shape == (30, 8, 4)
+        for u, v, w, B in zip(U, V, W, stacked):
+            assert np.max(np.abs(cayley_plane_from_3frame(u, v, w).basis - B)) <= 1e-15
+            assert np.max(np.abs(triple_cross(*B[:, :3].T) - B[:, 3])) <= 1e-15
+
+    def test_stacked_acs_matches_batch_of_one(self):
+        U, V = np.random.default_rng(15).normal(size=(2, 30, 8))
+        acs = acs_from_2frame(U, V, P0)
+        r = acs.residuals()
+        assert acs.J.shape == (30, 8, 8) and r["square"].shape == (30,)
+        assert acs.is_valid()
+        for u, v, J, sq in zip(U, V, acs.J, r["square"]):
+            one = acs_from_2frame(u, v, P0)
+            assert np.max(np.abs(one.J - J)) <= 1e-15
+            assert abs(one.residuals()["square"] - sq) <= 1e-15
+
+    def test_one_degenerate_row_rejects_the_stack(self):
+        U, V, W = np.random.default_rng(16).normal(size=(3, 10, 8))
+        W[7] = 2 * U[7] - V[7]
+        with pytest.raises(ValueError):
+            cayley_plane_from_3frame(U, V, W)
+        V[3] = U[3]
+        with pytest.raises(ValueError):
+            acs_from_2frame(U, V, P0)
+
+
 class TestSampling:
     def test_comass_bound_and_measure_zero(self):
         rng = np.random.default_rng(8)
