@@ -111,10 +111,6 @@ class CayleyForm:
     def tensor(self) -> np.ndarray:
         return self.form.to_tensor()
 
-    def value(self, vectors) -> float:
-        c = [np.asarray(v, dtype=float) for v in vectors]
-        return float(np.einsum("ijkl,i,j,k,l->", self.tensor, *c))
-
 
 def as_kform(phi) -> KForm:
     return phi.form if isinstance(phi, CayleyForm) else phi

@@ -14,6 +14,7 @@ gives a tuple out.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +115,11 @@ def cross3(x: Sequence, y: Sequence, z: Sequence):
     """Triple cross product (1/2)(x (conj(y) z) - z (conj(y) x)).
 
     Alternating in (x, y, z); for orthonormal arguments the result is a
-    unit octonion orthogonal to all three.
+    unit octonion orthogonal to all three.  Exact inputs halve by
+    Fraction(1, 2), so int in gives int or Fraction out.
     """
-    return _like(_cross2(*_arrays(x, y, z)) / 2)
+    c = _cross2(*_arrays(x, y, z))
+    return _like(c * Fraction(1, 2) if c.dtype == object else c / 2)
 
 
 def cayley_identity_residual(x: Sequence, y: Sequence, z: Sequence, u: Sequence):

@@ -250,12 +250,9 @@ def criterion_9_mirror(seed: int = 0, frames: int = 100) -> CriterionResult:
         worst = max(worst, *(v for k, v in r.items() if k != "omega_cubed"))
         if abs(r["omega_cubed"]) < 1e-9:
             worst = 1.0
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(frames):
-        st = su3_from_2frame(rng.normal(size=8), rng.normal(size=8), p)
-        ratios.append(st.volume_ratio())
-    spread = float(np.max(np.abs(np.array(ratios) - ratios[0])))
+    uv = np.random.default_rng(seed).normal(size=(frames, 2, 8))
+    ratios = su3_from_2frame(uv[:, 0], uv[:, 1], p).volume_ratio()
+    spread = float(np.max(np.abs(ratios - ratios[0])))
     _, _, report2 = mirror_pair(frame, p)
     stable = canonical_json(report.to_json_dict()) == canonical_json(report2.to_json_dict())
     checks = {

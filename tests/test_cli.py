@@ -214,6 +214,12 @@ class TestOtherCommands:
         payload = json.loads(out1)
         assert payload["composite"]["is_acs"] is True
 
+    def test_mirror_build_prints_positive_zero_ratio(self, capsys, free_frame_file):
+        code, out, _ = run_cli(capsys, "mirror", "build", "--frame", free_frame_file)
+        assert code == 0
+        assert '"volume_ratio": [0, -1.3333333333333333]' in out
+        assert "-0," not in out
+
     def test_mirror_build_refuses_calibrated(self, capsys, frame_file):
         code, _, err = run_cli(capsys, "mirror", "build", "--frame", frame_file)
         assert code == 2

@@ -1,10 +1,12 @@
 """Mirror SU(3)-structures, the composite K, and the expansion of phi."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cayley_workbench.cayley import phi0
-from cayley_workbench.forms import basis_vector
+from cayley_workbench.forms import KForm, basis_vector, restrict, wedge
 from cayley_workbench.mirror import (NotCayleyFreeError, compose_acs, kaehler_form,
                                      mirror_pair, phi_expansion, su3_from_2frame)
 from cayley_workbench.planes import ACS, acs_from_2frame
@@ -64,6 +66,51 @@ class TestSU3Construction:
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
             su3_from_2frame(e(1), e(1), P0)
+
+
+class TestStacks:
+    def test_stack_matches_batches_of_one(self):
+        uv = np.random.default_rng(10).normal(size=(50, 2, 8))
+        st = su3_from_2frame(uv[:, 0], uv[:, 1], P0)
+        assert st.frame.shape == (50, 8, 6) and st.J.shape == (50, 8, 8)
+        for k, (u, v) in enumerate(uv):
+            one = su3_from_2frame(u, v, P0)
+            for name in ("u", "v", "frame", "J", "omega_matrix"):
+                assert np.max(np.abs(getattr(st, name)[k] - getattr(one, name))) <= 1e-15, name
+
+    def test_dense_omega_matches_sparse_restriction(self):
+        uv = np.random.default_rng(11).normal(size=(25, 2, 8))
+        st = su3_from_2frame(uv[:, 0], uv[:, 1], P0)
+        for u, v, W, M in zip(st.u, st.v, st.frame, st.omega_matrix):
+            ref = restrict(kaehler_form(u, v, P0), [W[:, j] for j in range(6)])
+            for a in range(6):
+                for b in range(6):
+                    assert abs(M[a, b] - ref.coefficient(a + 1, b + 1)) <= 1e-14
+
+    def test_closed_form_ratio_matches_wedges(self):
+        y = [KForm(6, 1, {1 << j: 1.0}) for j in range(6)]
+        holo = wedge(wedge(y[0] + 1j * y[1], y[2] + 1j * y[3]), y[4] + 1j * y[5])
+        num = wedge(holo, holo.conjugate()).coefficient(1, 2, 3, 4, 5, 6)
+        uv = np.random.default_rng(12).normal(size=(25, 2, 8))
+        st = su3_from_2frame(uv[:, 0], uv[:, 1], P0)
+        ratios = st.volume_ratio()
+        assert ratios.shape == (25,)
+        for u, v, W, ratio in zip(st.u, st.v, st.frame, ratios):
+            omega = restrict(kaehler_form(u, v, P0), [W[:, j] for j in range(6)])
+            den = wedge(wedge(omega, omega), omega).coefficient(1, 2, 3, 4, 5, 6)
+            assert abs(ratio - complex(num) / den) <= 1e-14
+
+    def test_one_parallel_row_rejects_the_stack(self):
+        uv = np.random.default_rng(13).normal(size=(5, 2, 8))
+        uv[3, 1] = 2.0 * uv[3, 0]
+        with pytest.raises(ValueError):
+            su3_from_2frame(uv[:, 0], uv[:, 1], P0)
+
+    def test_coordinate_ratio_has_positive_zero_real_part(self):
+        ratio = su3_from_2frame(e(1), e(2), P0).volume_ratio()
+        assert type(ratio) is complex
+        assert math.copysign(1.0, ratio.real) == 1.0
+        assert ratio.imag == -4 / 3
 
 
 class TestPhiExpansion:

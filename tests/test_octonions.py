@@ -162,6 +162,14 @@ class TestStacks:
             assert all(isinstance(c, Fraction) for c in out)
         assert o.mul(x, y) == tuple(_cd_mul(list(x), list(y)))
 
+    def test_cross3_exact_on_int_tuples(self):
+        c = o.cross3(o.basis(1), o.basis(2), o.basis(4))
+        assert all(type(x) in (int, Fraction) for x in c)
+        assert c == o.basis(7)
+        c = o.cross3((1, 2, 0, 0, 0, 0, 0, 1), (0, 1, 3, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 5))
+        assert all(type(x) in (int, Fraction) for x in c)
+        assert c == (6, -3, 1, 0, -30, 16, -2, 0)
+
     def test_tuple_in_tuple_out(self):
         assert isinstance(o.mul(o.basis(1), o.basis(2)), tuple)
         assert isinstance(o.cross3(o.basis(1), o.basis(2), o.basis(4)), tuple)
