@@ -240,19 +240,17 @@ def cmd_plane_contains_cayley(args):
 
 def cmd_frame_identities(args):
     phi = _phi_source(args.phi)
+    if args.samples < 10:
+        raise InputError(f"--samples must be at least 10, got {args.samples}")
     rows = []
     payload = {"config": _config(args, ("samples", "seed", "phi")), "identities": {}}
-    for i, fit, resid in verify.frame_identities(args.samples, args.seed, phi):
+    for i, c_a, c_b, exact, resid in verify.frame_identities(args.samples, args.seed, phi):
         ref = fid.REFERENCE_MAGNITUDES[i]
-        ok = bool(np.allclose((abs(fit.c_a), abs(fit.c_b)), ref, atol=1e-9))
-        payload["identities"][str(i)] = {
-            "c_a": fit.c_a, "c_b": fit.c_b,
-            "fit_residual": fit.fit_residual,
-            "max_identity_residual": resid,
-            "reference_magnitudes": list(ref),
-            "magnitudes_match": ok,
+        entry = payload["identities"][str(i)] = {
+            "c_a": c_a, "c_b": c_b, "fit_residual": exact, "max_identity_residual": resid,
+            "reference_magnitudes": list(ref), "magnitudes_match": (abs(c_a), abs(c_b)) == ref,
         }
-        rows.append((i, fit.c_a, fit.c_b, fit.fit_residual, resid, ok))
+        rows.append((i, c_a, c_b, exact, resid, entry["magnitudes_match"]))
     if args.format == "csv":
         header = ["identity", "c_a", "c_b", "fit_residual",
                   "max_identity_residual", "magnitudes_match"]
@@ -262,6 +260,8 @@ def cmd_frame_identities(args):
 
 def cmd_frame_extract(args):
     phi = _phi_source(args.phi)
+    if args.samples < 10:
+        raise InputError(f"--samples must be at least 10, got {args.samples}")
     fit = fid.extract_coefficients(args.identity, args.samples, args.seed, phi,
                                    cayley_free=args.cayley_free)
     payload = {

@@ -369,6 +369,14 @@ def blade_masks(n: int, k: int) -> list[int]:
     return [mask_of(c, n) for c in combinations(range(1, n + 1), k)]
 
 
+def lambda2_matrix(a: KForm) -> np.ndarray:
+    """M[p, q] = a(e_p1, e_p2, e_q1, e_q2) of a 4-form, p, q over ``blade_masks(n, 2)``."""
+    if a.degree != 4:
+        raise ValueError(f"lambda2_matrix needs a 4-form, got degree {a.degree}")
+    i, j = np.triu_indices(a.n, 1)
+    return a.to_tensor()[i[:, None], j[:, None], i, j]
+
+
 def form_to_coeffs(a: KForm, masks: Sequence[int]) -> np.ndarray:
     return np.array([float(a.terms.get(m, 0)) for m in masks])
 

@@ -8,12 +8,12 @@ For vector fields u, v, y, w and a Cayley form Phi, put
 Three 8-forms built from contractions of Phi are then fixed linear
 combinations (c_A A + c_B B) vol.  The contraction order convention
 (iota_u iota_v Phi meaning interior(u, interior(v, Phi))) flips signs
-relative to other conventions, so the coefficients are *measured* by a
-least-squares fit over random frames and only their magnitudes are
-asserted against the known values (3,2), (4,2), (6,7).
+relative to other conventions; the magnitudes are (3,2), (4,2), (6,7).
 
-Both left sides factor through the pair coordinates of (u,v) and (y,w),
-which gives an exact 28x28 matrix representation used for bulk work.
+Every left side is bilinear in u ^ v and y ^ w, so identity i is a 28x28
+matrix M_i over pair coordinates, in which A is I and B is M_0.  The M_i
+are built in closed form and the coefficients are proven on their entries;
+the least-squares fit over random frames stays as the float cross-check.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .cayley import as_kform
-from .forms import KForm, basis_vector, evaluate, flat, interior, wedge
+from .forms import KForm, evaluate, flat, hodge, inner, interior, lambda2_matrix, wedge
 
-#: |c_A|, |c_B| for the three identities (fits must reproduce these)
+#: |c_A|, |c_B| for the three identities (the proven coefficients must match)
 REFERENCE_MAGNITUDES = {1: (3.0, 2.0), 2: (4.0, 2.0), 3: (6.0, 7.0)}
 
 _FULL = (1 << 8) - 1
@@ -87,29 +87,38 @@ def pair_coords(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U[:, a] * V[:, b] - U[:, b] * V[:, a]
 
 
-def _phi_key(phi) -> tuple:
-    f = as_kform(phi)
-    return (f.n, f.degree, tuple(sorted((m, float(c)) for m, c in f.terms.items())))
-
-
 @lru_cache(maxsize=8)
-def _pair_matrices_cached(key, i: int) -> np.ndarray:
-    terms = {m: c for m, c in key[2]}
-    f = KForm(key[0], key[1], terms)
-    M = np.zeros((28, 28))
-    es = [basis_vector(8, t + 1) for t in range(8)]
-    for p, (a, b) in enumerate(_PAIRS):
-        for q, (c, d) in enumerate(_PAIRS):
-            if i == 0:
-                M[p, q] = float(evaluate(f, [es[a], es[b], es[c], es[d]]))
-            else:
-                M[p, q] = float(identity_lhs(i, (es[a], es[b], es[c], es[d]), f))
-    return M
+def _pair_matrices(terms: tuple) -> tuple:
+    # With M0, S the pair matrices of Phi, *Phi and c = <Phi, *Phi>: every 4-form
+    # beta has beta ^ Phi = <beta, *Phi> vol, iota_u iota_v Phi has pair coordinates
+    # -M0[p] at the pair p of (u, v), and iota_y Phi ^ iota_w Phi =
+    # iota_w iota_y Phi ^ Phi - 1/2 iota_w iota_y (Phi ^ Phi) with Phi ^ Phi = c vol.
+    f = KForm(8, 4, dict(terms))
+    M0, S, c = lambda2_matrix(f), lambda2_matrix(hodge(f)), float(inner(f, hodge(f)))
+    mats = (M0, -(M0 @ S), S @ M0 - (c / 2) * np.eye(28), M0 @ S @ M0)
+    return tuple(m + 0.0 for m in mats)  # no -0.0 entries: they would print as -0
 
 
 def pair_matrix(phi, i: int) -> np.ndarray:
     """28x28 matrix of identity i over pair coordinates (i = 0 gives Phi itself)."""
-    return _pair_matrices_cached(_phi_key(phi), i)
+    if i not in (0, 1, 2, 3):
+        raise ValueError("identity index must be 0, 1, 2 or 3")
+    return _pair_matrices(tuple(sorted(as_kform(phi).terms.items())))[i]
+
+
+def identity_coefficients(phi, i: int) -> tuple:
+    """(c_A, c_B, residual) of the least-squares fit M_i ~ c_A I + c_B M_0 on its
+    784 entries.  Integer coefficients reproducing M_i exactly prove identity i
+    for all frames (ints, residual 0); otherwise floats and the worst entry."""
+    M0, M = pair_matrix(phi, 0), pair_matrix(phi, i).ravel()
+    X = np.column_stack([np.eye(28).ravel(), M0.ravel()])
+    c, *_ = np.linalg.lstsq(X, M, rcond=None)
+    k = np.rint(c)
+    # integer entries up to 2^14 keep every sum of M0 S M0 below 2^53: the floats are exact
+    if np.array_equal(M0, np.rint(M0)) and np.abs(M0).max() <= 2 ** 14 \
+            and np.array_equal(X @ k, M):
+        return int(k[0]), int(k[1]), 0
+    return float(c[0]), float(c[1]), float(np.max(np.abs(X @ c - M)))
 
 
 def batch_invariants(frames: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +143,13 @@ def sample_frames(samples: int, rng: np.random.Generator,
     The projection moves only w, along the gradient of B in w, so the
     frames stay full-rank Gaussian in the remaining directions.
     """
+    if cayley_free and phi is None:
+        raise ValueError("cayley_free sampling needs phi")
     F = rng.normal(size=(samples, 4, 8))
     if cayley_free:
         puv = pair_coords(F[:, 0], F[:, 1])
         Mphi = pair_matrix(phi, 0)
         # B = <grad, w> with grad depending on (u, v, y) only
-        iu = np.triu_indices(8, 1)
         G = np.zeros((samples, 8))
         coef = puv @ Mphi  # (N, 28) over (c, d) pairs
         for q, (c, d) in enumerate(_PAIRS):
@@ -158,17 +168,15 @@ class FitResult:
     fit_residual: float
     samples: int
 
-    def coeffs(self) -> tuple[float, float]:
-        return (self.c_a, self.c_b)
-
 
 def extract_coefficients(i: int, samples: int, seed: int, phi,
                          cayley_free: bool = False) -> FitResult:
     """Least-squares fit of identity i against (A, B) over random frames.
 
-    A tiny fit residual certifies that the left side is exactly an
-    (A, B)-linear combination; for Cayley-free sampling B is identically
-    zero and only c_A is fitted (c_b is reported as 0).
+    This is the float cross-check of ``identity_coefficients``: a tiny fit
+    residual says the sampled left sides are an (A, B)-linear combination to
+    rounding.  For Cayley-free sampling B is identically zero and only c_A
+    is fitted (c_b is reported as 0).
     """
     if samples < 10:
         raise ValueError("need at least 10 sample frames")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cayley import admissibility_report, as_kform, so8_basis_element
 from .forms import (KForm, blade_masks, coeffs_to_form, flat, form_to_coeffs,
-                    hodge, indices_of, wedge)
+                    hodge, indices_of, lambda2_matrix, wedge)
 
 #: expected component dimensions, keyed by degree
 DIMENSION_TABLE = {
@@ -63,14 +63,9 @@ def _orthonormal_rows(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def wedge_star_matrix(phi) -> np.ndarray:
-    """Matrix of a -> *(a ^ Phi) on 2-forms, over the lexicographic blade basis."""
-    f = as_kform(phi)
-    masks = blade_masks(8, 2)
-    M = np.zeros((28, 28))
-    for col, m in enumerate(masks):
-        img = hodge(wedge(KForm(8, 2, {m: 1}), f))
-        M[:, col] = form_to_coeffs(img, masks)
-    return M
+    """Matrix of a -> *(a ^ Phi) on 2-forms, over the lexicographic blade basis:
+    <b, *(a ^ Phi)> vol = b ^ a ^ Phi = <b ^ a, *Phi> vol gives that of *Phi."""
+    return lambda2_matrix(hodge(as_kform(phi)))
 
 
 def lambda2_split(phi) -> SplitBasis:

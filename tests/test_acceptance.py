@@ -48,6 +48,13 @@ def test_criterion_5_contraction_identities():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_criterion_5_coefficients_are_exact():
+    r = verify.criterion_5_identities(seed=0)
+    for fit in r.details["identities"].values():
+        assert type(fit["c_a"]) is int and type(fit["c_b"]) is int
+        assert fit["fit_residual"] == 0
+
+
 def test_criterion_6_comass_and_free_dimension():
     r = _run(verify.criterion_6_free_dimension, seed=0)
     assert r.details["free_frame_value"] == 0

@@ -173,6 +173,20 @@ class TestFrameCommands:
         for i in "123":
             assert payload["identities"][i]["magnitudes_match"] is True
 
+    def test_identities_are_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "frame", "identities", "--seed", "3")
+        assert code == 0
+        assert '"c_a": -3' in out and '"c_a": -4' in out and '"c_a": 6' in out
+        assert out.count('"fit_residual": 0,') == 3
+
+    @pytest.mark.parametrize("argv, n", [(("identities", "--samples", "9"), "9"),
+                                         (("extract", "--identity", "1", "--samples", "-3"),
+                                          "-3")])
+    def test_sample_count_at_least_ten(self, capsys, argv, n):
+        code, out, err = run_cli(capsys, "frame", *argv)
+        assert code == 2 and out == ""
+        assert f"--samples must be at least 10, got {n}" in err
+
     def test_identities_csv(self, capsys):
         code, out, _ = run_cli(capsys, "frame", "identities", "--samples", "200",
                                "--seed", "3", "--format", "csv")

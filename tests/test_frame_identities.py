@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from cayley_workbench.cayley import phi0
-from cayley_workbench.forms import basis_vector
+from cayley_workbench.cayley import as_kform, phi0, phi_octonionic
+from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate,
+                                    form_to_coeffs, hodge, inner, lambda2_matrix,
+                                    wedge)
 from cayley_workbench.frame_identities import (REFERENCE_MAGNITUDES,
                                                batch_identity_lhs,
                                                batch_invariants,
                                                double_contraction,
-                                               extract_coefficients, identity_lhs,
+                                               extract_coefficients,
+                                               identity_coefficients, identity_lhs,
                                                identity_residual, invariants,
-                                               pair_coords, sample_frames)
+                                               pair_coords, pair_matrix,
+                                               sample_frames)
+from cayley_workbench.representations import wedge_star_matrix
 
 P0 = phi0()
 e = lambda i: basis_vector(8, i)
@@ -120,6 +125,10 @@ class TestExtraction:
         _, B = batch_invariants(F, P0)
         assert float(np.max(np.abs(B))) < 1e-12
 
+    def test_cayley_free_sampler_needs_phi(self):
+        with pytest.raises(ValueError, match="cayley_free sampling needs phi"):
+            sample_frames(10, np.random.default_rng(0), cayley_free=True)
+
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
             extract_coefficients(1, 5, 0, P0)
@@ -149,3 +158,59 @@ class TestResiduals:
         rng = np.random.default_rng(9)
         U, V = rng.normal(size=(2, 10, 8))
         assert pair_coords(U, V).shape == (10, 28)
+
+
+#: a dense integer 4-form on all 70 blades, neither self-dual nor Cayley
+DENSE = KForm(8, 4, {m: int(c) for m, c in
+                     zip(blade_masks(8, 4), np.random.default_rng(5).integers(-3, 4, 70))
+                     if c})
+PAIRS = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+
+
+def sparse_pair_matrix(phi, i):
+    """Entry by entry on integer basis vectors: Phi itself for i = 0, else identity i."""
+    es = [basis_vector(8, t + 1) for t in range(8)]
+    M = np.zeros((28, 28))
+    for p, (a, b) in enumerate(PAIRS):
+        for q, (c, d) in enumerate(PAIRS):
+            frame = (es[a], es[b], es[c], es[d])
+            M[p, q] = float(evaluate(as_kform(phi), frame) if i == 0
+                            else identity_lhs(i, frame, phi))
+    return M
+
+
+class TestPairMatrices:
+    def test_dense_form_is_not_self_dual(self):
+        assert hodge(DENSE) != DENSE
+        assert inner(DENSE, hodge(DENSE)) != 0
+
+    @pytest.mark.parametrize("phi", [P0, phi_octonionic(), DENSE],
+                             ids=["phi0", "octonionic", "dense"])
+    def test_closed_forms_match_sparse_reference(self, phi):
+        for i in range(4):
+            assert pair_matrix(phi, i).tobytes() == sparse_pair_matrix(phi, i).tobytes()
+
+    def test_pair_matrix_index_range(self):
+        with pytest.raises(ValueError):
+            pair_matrix(P0, 4)
+
+    @pytest.mark.parametrize("phi", [P0, phi_octonionic()], ids=["phi0", "octonionic"])
+    def test_cayley_coefficients_are_proven_ints(self, phi):
+        for i, want in MEASURED_COEFFS.items():
+            c_a, c_b, residual = identity_coefficients(phi, i)
+            assert (c_a, c_b, residual) == want + (0,)
+            assert type(c_a) is int and type(c_b) is int and type(residual) is int
+
+    def test_other_forms_get_float_fits(self):
+        for i in (1, 2, 3):
+            c_a, c_b, residual = identity_coefficients(DENSE, i)
+            assert type(c_a) is float and type(c_b) is float
+            assert residual > 0
+
+    def test_wedge_star_matrix_is_lambda2_of_star(self):
+        masks = blade_masks(8, 2)
+        ref = np.zeros((28, 28))
+        for col, m in enumerate(masks):
+            ref[:, col] = form_to_coeffs(hodge(wedge(KForm(8, 2, {m: 1}), DENSE)), masks)
+        assert np.array_equal(wedge_star_matrix(DENSE), lambda2_matrix(hodge(DENSE)))
+        assert wedge_star_matrix(DENSE).tobytes() == ref.tobytes()
