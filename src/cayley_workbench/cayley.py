@@ -20,15 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 
 from . import octonions
-from .forms import (KForm, _inversion_sign, basis_vector, blade_masks, hodge,
-                    indices_of, inner, interior, wedge)
+from .forms import KForm, _inversion_sign, blade_masks, hodge, indices_of, inner
 
 # 14 blades of the standard coordinate Cayley form, with signs.
 _PHI0_TERMS = {
@@ -287,25 +286,35 @@ def so8_basis_element(p: int, q: int) -> list[list[int]]:
     return X
 
 
-def derivation_action(X, a: KForm) -> KForm:
-    """Infinitesimal so(n) action: extends dx^i -> -sum_j X[i][j] dx^j.
+def _derivation_on_blade(X, mask: int) -> dict:
+    """Derivation action of an so(n) element X on one blade, as a sparse dict.
 
-    Implemented as -sum_{i,j} X[i][j] dx^j ^ iota_{e_i} a, which is the
-    unique degree-0 derivation with that action on 1-forms.  Exact for
-    exact inputs.
+    Each factor dx^i of the blade is replaced by -sum_j X[i][j] dx^j, and
+    dx^j is sorted into place with the sign of the transpositions.
     """
-    n = a.n
-    acc = KForm.zero(n, a.degree)
-    for i in range(n):
-        w = interior(basis_vector(n, i + 1), a)
-        if w.is_zero():
-            continue
-        for j in range(n):
-            coeff = X[i][j]
-            if coeff == 0:
+    acc: dict = {}
+    for pos, i in enumerate(indices_of(mask)):
+        rest = mask ^ (1 << (i - 1))
+        for j in range(1, len(X) + 1):
+            c = X[i - 1][j - 1]
+            jbit = 1 << (j - 1)
+            if c == 0 or rest & jbit:
                 continue
-            acc = acc + (-coeff) * wedge(KForm(n, 1, {1 << j: 1}), w)
+            below = (rest & (jbit - 1)).bit_count()
+            m2 = rest | jbit
+            acc[m2] = acc.get(m2, 0) + (c if (pos + below) % 2 else -c)
     return acc
+
+
+def derivation_action(X, a: KForm) -> KForm:
+    """Infinitesimal so(n) action: the degree-0 derivation extending
+    dx^i -> -sum_j X[i][j] dx^j, summed blade by blade.  Exact for exact
+    inputs."""
+    acc: dict = {}
+    for mask, c in a.terms.items():
+        for m2, x in _derivation_on_blade(X, mask).items():
+            acc[m2] = acc.get(m2, 0) + c * x
+    return KForm(a.n, a.degree, acc)
 
 
 def stabilizer_dimension(a: KForm) -> int:
@@ -401,56 +410,41 @@ def orbit_distance(a, target=None, steps: int = 400, restarts: int = 4,
                    seed: int = 0) -> tuple[float, np.ndarray]:
     """Minimize the distance from g*a to the target form over g in SO(8).
 
-    Gradient descent with polar retraction; returns (form-norm distance,
-    best rotation).  A descent to ~0 certifies orbit membership
-    numerically; a positive floor is evidence (not proof) of a different
-    orbit.
+    The restarts start from the identity and then from Haar rotations drawn
+    from default_rng(seed); all of them ascend -|g*a - target|^2 as one stack
+    in ``planes._ascend``.  Returns (form-norm distance, best rotation).  A
+    descent to ~0 certifies orbit membership numerically; a positive floor
+    is evidence (not proof) of a different orbit.
     """
-    A = as_cayley(a).tensor
-    T = (phi0() if target is None else as_cayley(target)).tensor
+    from .planes import _ascend  # planes imports this module
+
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    A = as_cayley(a).tensor.reshape(64, 64)
+    T = (phi0() if target is None else as_cayley(target)).tensor.reshape(64, 64)
     rng = np.random.default_rng(seed)
-    best = (np.inf, np.eye(8))
-    for r in range(restarts):
-        g = np.eye(8) if r == 0 else _haar_so8(rng)
-        step = 0.05
-        val, grad = _orbit_value_grad(A, T, g)
-        for _ in range(steps):
-            d = grad - g @ _sym(g.T @ grad)
-            gn = float(np.linalg.norm(d))
-            if gn < 1e-14:
-                break
-            while step > 1e-14:
-                cand = _polar(g - step * d)
-                cval, cgrad = _orbit_value_grad(A, T, cand)
-                if cval < val:
-                    g, val, grad = cand, cval, cgrad
-                    step = min(step * 2.0, 0.25)
-                    break
-                step *= 0.5
-            else:
-                break
-        if val < best[0]:
-            best = (val, g)
+    W = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
+    no_row_data = np.empty((restarts, 0))  # every row ascends the same objective
+    rotations, values, *_ = _ascend(partial(_negative_misfit, A, T), W, no_row_data,
+                                    steps, 0.05, gtol=1e-12)
+    best = int(np.argmax(values))
     # tensor Frobenius^2 = 24 * form norm^2 in degree 4
-    return float(np.sqrt(best[0] / 24.0)), best[1]
+    return float(np.sqrt(-values[best] / 24.0)), rotations[best]
 
 
-def _orbit_value_grad(A, T, g):
-    P = np.einsum("ijkl,ia,jb,kc,ld->abcd", A, g, g, g, g, optimize=True)
-    R = P - T
-    val = float(np.sum(R * R))
-    Q = np.einsum("ijkl,jb,kc,ld->ibcd", A, g, g, g, optimize=True)
-    grad = 8.0 * np.einsum("ibcd,abcd->ia", Q, R, optimize=True)
-    return val, grad
-
-
-def _sym(M):
-    return (M + M.T) / 2.0
-
-
-def _polar(M):
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt
+def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray, _S):
+    """-|g*a - target|^2 over a stack W of rotations g, with its Riemannian
+    gradient on O(8) and the gradient norms; A and T are the 4-tensors
+    reshaped to 64 x 64, on which g acts as g (x) g on both sides."""
+    K = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, 64, 64)
+    AK = A @ K
+    R = K.transpose(0, 2, 1) @ AK - T
+    # d|R|^2 = 4 <AK R, dK> with dK = dg (x) g + g (x) dg; antisymmetry makes
+    # the two halves equal
+    G = -8.0 * np.einsum("rijab,rjb->ria", (AK @ R).reshape(-1, 8, 8, 8, 8), W)
+    WtG = W.transpose(0, 2, 1) @ G
+    D = G - W @ ((WtG + WtG.transpose(0, 2, 1)) / 2.0)
+    return -np.einsum("rpq,rpq->r", R, R), D, np.sqrt(np.einsum("rij,rij->r", D, D))
 
 
 def _haar_so8(rng) -> np.ndarray:

@@ -121,19 +121,23 @@ def identity_coefficients(phi, i: int) -> tuple:
     return float(c[0]), float(c[1]), float(np.max(np.abs(X @ c - M)))
 
 
-def batch_invariants(frames: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) for a stack of frames, shape (N, 4, 8) with rows u, v, y, w."""
+def batch_pair_values(frames: np.ndarray, phi, indices) -> tuple:
+    """A and, for each i in ``indices``, the values of pair matrix i over a stack
+    of frames (N, 4, 8) with rows u, v, y, w; the pair coordinates of the
+    stack are computed once."""
     puv = pair_coords(frames[:, 0], frames[:, 1])
     pyw = pair_coords(frames[:, 2], frames[:, 3])
-    A = np.einsum("np,np->n", puv, pyw)
-    B = np.einsum("np,pq,nq->n", puv, pair_matrix(phi, 0), pyw)
-    return A, B
+    return (np.einsum("np,np->n", puv, pyw),
+            *(np.einsum("np,pq,nq->n", puv, pair_matrix(phi, i), pyw) for i in indices))
+
+
+def batch_invariants(frames: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) for a stack of frames, shape (N, 4, 8) with rows u, v, y, w."""
+    return batch_pair_values(frames, phi, (0,))
 
 
 def batch_identity_lhs(i: int, frames: np.ndarray, phi) -> np.ndarray:
-    puv = pair_coords(frames[:, 0], frames[:, 1])
-    pyw = pair_coords(frames[:, 2], frames[:, 3])
-    return np.einsum("np,pq,nq->n", puv, pair_matrix(phi, i), pyw)
+    return batch_pair_values(frames, phi, (i,))[1]
 
 
 def sample_frames(samples: int, rng: np.random.Generator,
@@ -183,8 +187,7 @@ def extract_coefficients(i: int, samples: int, seed: int, phi,
     rng = np.random.default_rng(seed)
     for attempt in range(4):
         F = sample_frames(samples, rng, cayley_free=cayley_free, phi=phi)
-        A, B = batch_invariants(F, phi)
-        L = batch_identity_lhs(i, F, phi)
+        A, B, L = batch_pair_values(F, phi, (0, i))
         X = A[:, None] if cayley_free else np.column_stack([A, B])
         s = np.linalg.svd(X, compute_uv=False)
         if s[-1] > 1e-8 * s[0]:

@@ -2,8 +2,10 @@
 
 Calibration values, Cayley / Cayley-free tests (coordinate and
 octonionic), the almost complex structure of a 2-frame, triple-cross
-plane construction, Haar sampling, and multistart gradient ascent over
-the Grassmannian for comass and contained-Cayley-plane searches.
+plane construction, Haar sampling, and the stacked Riemannian gradient
+ascent (``_ascend``) that runs the multistart comass and
+contained-Cayley-plane searches over the Grassmannian and, for
+``cayley.orbit_distance``, the orbit search over SO(8).
 
 The hot numeric paths work on the dense antisymmetric coefficient tensor
 of the form; exact integer frames keep an exact evaluation path so that
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -315,24 +317,26 @@ def _value_and_grad(Tm: np.ndarray, W: np.ndarray, S: np.ndarray):
 STOP_REASONS = ("gtol", "line_search_stall", "step_budget")
 
 
-def _ascend(T: np.ndarray, W: np.ndarray, S: np.ndarray, steps: int, step0: float,
+def _ascend(value_and_grad, W: np.ndarray, S: np.ndarray, steps: int, step0: float,
             gtol: float):
-    """Riemannian gradient ascent of the calibration value over a stack of 4-frames.
+    """Riemannian gradient ascent over a stack of orthonormal frames.
 
-    Row b of the (B, m, 4) stack W ascends over the 4-planes inside the span
-    of the orthonormal 8 x m frame S[b].  The rows advance in lockstep, one
+    ``value_and_grad(W, S)`` returns per row the objective, its Riemannian
+    gradient and the gradient norm; row b of S is row b's data and retires
+    with it.  The Grassmannian searches ascend the calibration value of
+    (B, m, 4) frames inside the subspaces S[b]; ``cayley.orbit_distance``
+    ascends over (B, 8, 8) rotations.  The rows advance in lockstep, one
     stacked QR retraction per candidate, each with its own Armijo step that
     starts at ``step0`` and halves on every rejection.  A row stops at
     gradient norm ``gtol``, when its step falls to 1e-13 (line-search stall)
-    or after ``steps`` accepted steps.  Returns per row: frames, values,
-    stop codes (into STOP_REASONS), accepted steps and backtracks.
+    or after ``steps`` accepted steps.  Returns per row: frames, values, stop
+    codes (into STOP_REASONS), accepted steps and backtracks.
     """
-    Tm = T.reshape(64, 64)
     B = len(W)
     out = (np.empty_like(W), np.empty(B), *(np.empty(B, dtype=int) for _ in range(3)))
     rows, t = np.arange(B), np.full(B, float(step0))
     k, nb = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
-    val, D, gn = _value_and_grad(Tm, W, S)
+    val, D, gn = value_and_grad(W, S)
     while rows.size:
         budget, small = k >= steps, gn < gtol
         done = budget | small | ~(t > 1e-13)
@@ -344,7 +348,7 @@ def _ascend(T: np.ndarray, W: np.ndarray, S: np.ndarray, steps: int, step0: floa
                                                 (rows, S, W, val, D, gn, t, k, nb))
             continue
         cand = _orthonormal_stack(W + t[:, None, None] * D)
-        cval, cD, cgn = _value_and_grad(Tm, cand, S)
+        cval, cD, cgn = value_and_grad(cand, S)
         ok = cval > val + 1e-4 * t * gn * gn
         W, D = np.where(ok[:, None, None], cand, W), np.where(ok[:, None, None], cD, D)
         val, gn = np.where(ok, cval, val), np.where(ok, cgn, gn)
@@ -401,7 +405,8 @@ def contains_cayley_batch(subspaces, phi, restarts: int = 16, steps: int = 500,
     P, _, m = S.shape
     W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(m, 4))
                                       for r in range(restarts)]))
-    frames, *per_row = _ascend(as_cayley(phi).tensor, np.tile(W0, (P, 1, 1)),
+    objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64))
+    frames, *per_row = _ascend(objective, np.tile(W0, (P, 1, 1)),
                                np.repeat(S, restarts, axis=0), steps, step0, gtol=1e-8)
     values, stop, iters, backs = (x.reshape(P, restarts) for x in per_row)
     return [AscentResult(float(values[p, b]),

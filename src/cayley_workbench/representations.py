@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import admissibility_report, as_kform, so8_basis_element
+from .cayley import _derivation_on_blade, admissibility_report, as_kform, so8_basis_element
 from .forms import (KForm, blade_masks, coeffs_to_form, flat, form_to_coeffs,
                     hodge, indices_of, lambda2_matrix, wedge)
 
@@ -222,30 +222,10 @@ def _generator_matrices(k: int) -> np.ndarray:
     for r, (p, q) in enumerate(pairs):
         X = so8_basis_element(p, q)
         for col, m in enumerate(masks):
-            img = _derivation_on_blade(X, m, k)
+            img = _derivation_on_blade(X, m)
             for mm, c in img.items():
                 out[r, pos[mm], col] = c
     return out
-
-
-def _derivation_on_blade(X, mask: int, k: int) -> dict:
-    """Derivation action of an integer so(8) element on one blade; sparse dict."""
-    acc: dict = {}
-    idx = indices_of(mask)
-    for pos, i in enumerate(idx):
-        for j in range(1, 9):
-            c = X[i - 1][j - 1]
-            if c == 0:
-                continue
-            jbit = 1 << (j - 1)
-            rest = mask ^ (1 << (i - 1))
-            if rest & jbit:
-                continue
-            below = (rest & (jbit - 1)).bit_count()
-            sign = -c if (pos + below) % 2 else c
-            m2 = rest | jbit
-            acc[m2] = acc.get(m2, 0) - sign  # action is minus the substitution
-    return acc
 
 
 def derivation_matrix(X: np.ndarray, k: int) -> np.ndarray:

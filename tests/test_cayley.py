@@ -231,23 +231,47 @@ class TestDerivationAction:
         assert lhs == rhs
 
 
+def _rotate(T, g):
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", T, g, g, g, g, optimize=True)
+
+
 class TestOrbitDescent:
+    def _check(self, a, dist, g):
+        # the rotation lies in SO(8) and reproduces the distance it reports
+        assert np.max(np.abs(g.T @ g - np.eye(8))) < 1e-12
+        assert abs(np.linalg.det(g) - 1.0) < 1e-12
+        residual = _rotate(a.to_tensor(), g) - phi0().tensor
+        assert abs(np.sqrt(np.sum(residual ** 2) / 24.0) - dist) < 1e-12
+
     def test_rotated_form_descends_to_zero(self):
         rng = np.random.default_rng(4)
         q, r = np.linalg.qr(rng.normal(size=(8, 8)))
         g = q @ np.diag(np.sign(np.diag(r)))
         if np.linalg.det(g) < 0:
             g[:, 0] = -g[:, 0]
-        T = phi0().tensor
-        rot = np.einsum("ijkl,ia,jb,kc,ld->abcd", T, g, g, g, g)
+        rot = _rotate(phi0().tensor, g)
         terms = {}
         for m in blade_masks(8, 4):
             idx = tuple(i - 1 for i in indices_of(m))
             if abs(rot[idx]) > 1e-15:
                 terms[m] = float(rot[idx])
-        dist, _ = orbit_distance(KForm(8, 4, terms), steps=300, restarts=3, seed=0)
+        a = KForm(8, 4, terms)
+        dist, rotation = orbit_distance(a, steps=300, restarts=3, seed=0)
         assert dist < 1e-8
+        self._check(a, dist, rotation)
 
     def test_decomposable_form_stays_away(self):
-        dist, _ = orbit_distance(blade(8, 1, 2, 3, 4), steps=200, restarts=2, seed=0)
-        assert dist > 0.5
+        # unit decomposable a: dist^2 = |a|^2 + 14 - 2 comass(phi0) = 13
+        a = blade(8, 1, 2, 3, 4)
+        dist, rotation = orbit_distance(a, steps=200, restarts=2, seed=0)
+        assert abs(dist - np.sqrt(13)) < 1e-9
+        self._check(a, dist, rotation)
+
+    def test_phi0_from_the_identity_start(self):
+        dist, rotation = orbit_distance(phi0(), restarts=1)
+        assert dist == 0.0 and np.array_equal(rotation, np.eye(8))
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            orbit_distance(phi0(), restarts=restarts)

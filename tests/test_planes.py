@@ -1,5 +1,7 @@
 """4-planes: ACS construction, calibration, plane tests, sampling, optimization."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cayley_workbench import octonions as o
 from cayley_workbench.cayley import phi0, phi_octonionic
 from cayley_workbench.forms import basis_vector
 from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _ascend,
+                                     _value_and_grad,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
@@ -18,6 +21,7 @@ from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _asce
                                      triple_cross)
 
 P0 = phi0()
+CALIBRATION = partial(_value_and_grad, P0.tensor.reshape(64, 64))
 e = lambda i: basis_vector(8, i)
 ef = lambda i: np.asarray(e(i), dtype=float)
 
@@ -315,12 +319,12 @@ class TestOptimization:
     def test_stop_gtol_from_a_cayley_plane(self):
         # a Cayley plane maximizes the calibration: its gradient vanishes
         I = np.eye(8)[None]
-        _, values, stop, iters, _ = _ascend(P0.tensor, I[:, :, :4], I, 500, 0.1, 1e-8)
+        _, values, stop, iters, _ = _ascend(CALIBRATION, I[:, :, :4], I, 500, 0.1, 1e-8)
         assert STOP_REASONS[stop[0]] == "gtol" and iters[0] == 0 and values[0] == 1.0
 
     def test_stop_line_search_stall_without_gtol(self):
         V0 = random_planes_batch(4, np.random.default_rng(12))
-        _, values, stop, _, backtracks = _ascend(P0.tensor, V0, np.tile(np.eye(8), (4, 1, 1)),
+        _, values, stop, _, backtracks = _ascend(CALIBRATION, V0, np.tile(np.eye(8), (4, 1, 1)),
                                                  10_000, 0.1, 0.0)
         assert [STOP_REASONS[s] for s in stop] == ["line_search_stall"] * 4
         assert np.all(backtracks > 0) and np.all(np.abs(values - 1) < 1e-12)
