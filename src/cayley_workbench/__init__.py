@@ -12,7 +12,7 @@ from .mirror import (MirrorReport, NotCayleyFreeError, SU3Structure, compose_acs
                      mirror_pair, phi_expansion, su3_from_2frame)
 from .planes import (ACS, Frame2, Frame4, Plane4, acs_from_2frame, calibration_value,
                      cayley_plane_from_3frame, comass, contains_cayley,
-                     contains_cayley_batch, found_cayley, is_cayley, is_cayley_free,
+                     five_plane_comass, found_cayley, is_cayley, is_cayley_free,
                      is_cayley_octonionic, octonionic_residual, random_plane,
                      standard_convention, triple_cross)
 from .representations import (SplitBasis, casimir_spectrum, lambda2_split,

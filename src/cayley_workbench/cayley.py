@@ -406,12 +406,12 @@ def admissibility_report(a, tol: float = 1e-10) -> AdmissibilityReport:
 # -- numerical orbit descent --------------------------------------------------
 
 
-def orbit_distance(a, target=None, steps: int = 400, restarts: int = 4,
+def orbit_distance(a, steps: int = 400, restarts: int = 4,
                    seed: int = 0) -> tuple[float, np.ndarray]:
-    """Minimize the distance from g*a to the target form over g in SO(8).
+    """Minimize the distance from g*a to phi0 over g in SO(8).
 
     The restarts start from the identity and then from Haar rotations drawn
-    from default_rng(seed); all of them ascend -|g*a - target|^2 as one stack
+    from default_rng(seed); all of them ascend -|g*a - phi0|^2 as one stack
     in ``planes._ascend``.  Returns (form-norm distance, best rotation).  A
     descent to ~0 certifies orbit membership numerically; a positive floor
     is evidence (not proof) of a different orbit.
@@ -420,19 +420,16 @@ def orbit_distance(a, target=None, steps: int = 400, restarts: int = 4,
 
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    A = as_cayley(a).tensor.reshape(64, 64)
-    T = (phi0() if target is None else as_cayley(target)).tensor.reshape(64, 64)
+    A, T = (as_cayley(f).tensor.reshape(64, 64) for f in (a, phi0()))
     rng = np.random.default_rng(seed)
     W = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
-    no_row_data = np.empty((restarts, 0))  # every row ascends the same objective
-    rotations, values, *_ = _ascend(partial(_negative_misfit, A, T), W, no_row_data,
-                                    steps, 0.05, gtol=1e-12)
+    rotations, values, *_ = _ascend(partial(_negative_misfit, A, T), W, steps, 0.05, gtol=1e-12)
     best = int(np.argmax(values))
     # tensor Frobenius^2 = 24 * form norm^2 in degree 4
     return float(np.sqrt(-values[best] / 24.0)), rotations[best]
 
 
-def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray, _S):
+def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray):
     """-|g*a - target|^2 over a stack W of rotations g, with its Riemannian
     gradient on O(8) and the gradient norms; A and T are the 4-tensors
     reshaped to 64 x 64, on which g acts as g (x) g on both sides."""

@@ -67,7 +67,11 @@ def _phi_source(source: str) -> CayleyForm:
         return phi0()
     if source == "builtin:octonionic":
         return phi_octonionic()
-    return CayleyForm(_load_form(source))
+    form = _load_form(source)
+    if (form.degree, form.n) != (4, 8):
+        raise InputError(f"{source}: --phi must be a 4-form on R^8, "
+                         f"got degree {form.degree} on R^{form.n}")
+    return CayleyForm(form)
 
 
 def _config(args, fields) -> dict:

@@ -23,14 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import as_kform
+from .cayley import as_cayley, as_kform
 from .forms import KForm, evaluate, flat, hodge, inner, interior, lambda2_matrix, wedge
+from .planes import _pair_contraction
 
 #: |c_A|, |c_B| for the three identities (the proven coefficients must match)
 REFERENCE_MAGNITUDES = {1: (3.0, 2.0), 2: (4.0, 2.0), 3: (6.0, 7.0)}
 
 _FULL = (1 << 8) - 1
-_PAIRS = [(a, b) for a in range(8) for b in range(a + 1, 8)]
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,8 @@ def sample_frames(samples: int, rng: np.random.Generator,
         raise ValueError("cayley_free sampling needs phi")
     F = rng.normal(size=(samples, 4, 8))
     if cayley_free:
-        puv = pair_coords(F[:, 0], F[:, 1])
-        Mphi = pair_matrix(phi, 0)
-        # B = <grad, w> with grad depending on (u, v, y) only
-        G = np.zeros((samples, 8))
-        coef = puv @ Mphi  # (N, 28) over (c, d) pairs
-        for q, (c, d) in enumerate(_PAIRS):
-            G[:, d] += coef[:, q] * F[:, 2, c]
-            G[:, c] -= coef[:, q] * F[:, 2, d]
+        N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), F[:, 0], F[:, 1])
+        G = np.einsum("ni,nij->nj", F[:, 2], N)  # B = <G, w> with G = Phi(u, v, y, .)
         gn = np.einsum("ni,ni->n", G, G)
         gn[gn == 0] = 1.0
         F[:, 3] -= (np.einsum("ni,ni->n", G, F[:, 3]) / gn)[:, None] * G

@@ -1,10 +1,10 @@
 """Oriented 4-planes in R^8 and the structures a Cayley form puts on them.
 
-Calibration values, Cayley / Cayley-free tests (coordinate and
-octonionic), the almost complex structure of a 2-frame, triple-cross
-plane construction, Haar sampling, and the stacked Riemannian gradient
-ascent (``_ascend``) that runs the multistart comass and
-contained-Cayley-plane searches over the Grassmannian and, for
+Calibration values, Cayley / Cayley-free tests (coordinate and octonionic),
+the almost complex structure of a 2-frame, triple-cross plane construction,
+Haar sampling, the closed-form maximum over the 4-planes of a 5-plane, and
+the stacked Riemannian gradient ascent (``_ascend``) that runs the multistart
+comass and contained-Cayley-plane searches inside one subspace and, for
 ``cayley.orbit_distance``, the orbit search over SO(8).
 
 The hot numeric paths work on the dense antisymmetric coefficient tensor
@@ -301,7 +301,7 @@ def calibration_values_batch(frames: np.ndarray, phi) -> np.ndarray:
     return out
 
 
-def _value_and_grad(Tm: np.ndarray, W: np.ndarray, S: np.ndarray):
+def _value_and_grad(Tm: np.ndarray, S: np.ndarray, W: np.ndarray):
     """Calibration values of the frames S @ W, with the Riemannian gradients in
     W's coordinates and their norms; Tm is the 4-tensor reshaped to 64 x 64."""
     V = S @ W
@@ -309,7 +309,7 @@ def _value_and_grad(Tm: np.ndarray, W: np.ndarray, S: np.ndarray):
     S12, S34 = _pair_contraction(Tm, C[0::2], C[1::2])  # T(c1,c2,..), T(c3,c4,..)
     a1, a2 = (S34 @ V[:, :, :2]).transpose(2, 0, 1)  # T(c3,c4,.,c1), T(c3,c4,.,c2)
     b3, b4 = (S12 @ V[:, :, 2:]).transpose(2, 0, 1)  # T(c1,c2,.,c3), T(c1,c2,.,c4)
-    G = S.transpose(0, 2, 1) @ np.stack([a2, -a1, b4, -b3], axis=2)
+    G = S.T @ np.stack([a2, -a1, b4, -b3], axis=2)
     D = G - W @ (W.transpose(0, 2, 1) @ G)
     return np.einsum("bi,bi->b", C[2], b4), D, np.sqrt(np.einsum("bij,bij->b", D, D))
 
@@ -317,14 +317,13 @@ def _value_and_grad(Tm: np.ndarray, W: np.ndarray, S: np.ndarray):
 STOP_REASONS = ("gtol", "line_search_stall", "step_budget")
 
 
-def _ascend(value_and_grad, W: np.ndarray, S: np.ndarray, steps: int, step0: float,
-            gtol: float):
+def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float):
     """Riemannian gradient ascent over a stack of orthonormal frames.
 
-    ``value_and_grad(W, S)`` returns per row the objective, its Riemannian
-    gradient and the gradient norm; row b of S is row b's data and retires
-    with it.  The Grassmannian searches ascend the calibration value of
-    (B, m, 4) frames inside the subspaces S[b]; ``cayley.orbit_distance``
+    ``value_and_grad(W)`` returns per row the objective, its Riemannian
+    gradient and the gradient norm; each objective closes over its own
+    subspace or tensors.  ``contains_cayley`` ascends the calibration value
+    of (B, m, 4) frames inside one subspace; ``cayley.orbit_distance``
     ascends over (B, 8, 8) rotations.  The rows advance in lockstep, one
     stacked QR retraction per candidate, each with its own Armijo step that
     starts at ``step0`` and halves on every rejection.  A row stops at
@@ -336,7 +335,7 @@ def _ascend(value_and_grad, W: np.ndarray, S: np.ndarray, steps: int, step0: flo
     out = (np.empty_like(W), np.empty(B), *(np.empty(B, dtype=int) for _ in range(3)))
     rows, t = np.arange(B), np.full(B, float(step0))
     k, nb = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
-    val, D, gn = value_and_grad(W, S)
+    val, D, gn = value_and_grad(W)
     while rows.size:
         budget, small = k >= steps, gn < gtol
         done = budget | small | ~(t > 1e-13)
@@ -344,11 +343,10 @@ def _ascend(value_and_grad, W: np.ndarray, S: np.ndarray, steps: int, step0: flo
             stop = np.where(budget, 2, np.where(small, 0, 1))
             for o, x in zip(out, (W, val, stop, k, nb)):
                 o[rows[done]] = x[done]
-            rows, S, W, val, D, gn, t, k, nb = (x[~done] for x in
-                                                (rows, S, W, val, D, gn, t, k, nb))
+            rows, W, val, D, gn, t, k, nb = (x[~done] for x in (rows, W, val, D, gn, t, k, nb))
             continue
         cand = _orthonormal_stack(W + t[:, None, None] * D)
-        cval, cD, cgn = value_and_grad(cand, S)
+        cval, cD, cgn = value_and_grad(cand)
         ok = cval > val + 1e-4 * t * gn * gn
         W, D = np.where(ok[:, None, None], cand, W), np.where(ok[:, None, None], cD, D)
         val, gn = np.where(ok, cval, val), np.where(ok, cgn, gn)
@@ -378,53 +376,56 @@ class AscentResult:
         return None if self.converged else "step budget exhausted before convergence"
 
 
-def comass(phi, restarts: int = 64, steps: int = 500, seed: int = 0,
-           step0: float = 0.1) -> AscentResult:
+def comass(phi, restarts: int = 64, steps: int = 500, seed: int = 0) -> AscentResult:
     """Multistart estimate of max_{oriented 4-planes} phi, with maximizer.
 
     For an admissible form this is the calibration bound 1, attained on
     the Cayley Grassmannian.
     """
-    return contains_cayley_batch(np.eye(8)[None], phi, restarts, steps, seed, step0)[0]
-
-
-def contains_cayley_batch(subspaces, phi, restarts: int = 16, steps: int = 500,
-                          seed: int = 0, step0: float = 0.1) -> list[AscentResult]:
-    """contains_cayley for each frame of a (P, 8, m) stack, as one stacked ascent.
-
-    In every subspace restart r starts from the Q factor of
-    default_rng(seed + r).normal(size=(m, 4)); the first best restart wins.
-    """
-    S = np.asarray(subspaces, dtype=float)
-    if S.ndim != 3 or S.shape[1] != 8 or not 4 <= S.shape[2] <= 8:
-        raise ValueError("subspace frames must be 8 x m with 4 <= m <= 8")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if len(S) and gram_defect4(S) > 1e-8:
-        raise ValueError("subspace frame is not orthonormal")
-    P, _, m = S.shape
-    W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(m, 4))
-                                      for r in range(restarts)]))
-    objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64))
-    frames, *per_row = _ascend(objective, np.tile(W0, (P, 1, 1)),
-                               np.repeat(S, restarts, axis=0), steps, step0, gtol=1e-8)
-    values, stop, iters, backs = (x.reshape(P, restarts) for x in per_row)
-    return [AscentResult(float(values[p, b]),
-                         Plane4(orthonormal_frame((S[p] @ frames[p * restarts + b]).T)),
-                         dict(zip(STOP_REASONS, np.bincount(stop[p], minlength=3).tolist())),
-                         int(iters[p].sum()), int(backs[p].sum()))
-            for p, b in enumerate(np.argmax(values, axis=1))]
+    return contains_cayley(np.eye(8), phi, restarts, steps, seed)
 
 
 def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
                     seed: int = 0) -> AscentResult:
     """Search a subspace (orthonormal m-frame, 4 <= m <= 8) for a Cayley plane.
 
-    Ascends the calibration value over 4-planes inside the subspace;
-    ``found_cayley(result, tol)`` certifies the witness at ``value >= 1 - tol``.
+    Ascends the calibration value over 4-planes inside the subspace; restart r
+    starts from the Q factor of default_rng(seed + r).normal(size=(m, 4)), and
+    all restarts run as one stack.  ``found_cayley(result, tol)`` certifies the
+    witness at ``value >= 1 - tol``.
     """
-    S = subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace)
-    return contains_cayley_batch(S[None], phi, restarts, steps, seed)[0]
+    S = np.asarray(subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace),
+                   dtype=float)
+    if S.ndim != 2 or S.shape[0] != 8 or not 4 <= S.shape[1] <= 8:
+        raise ValueError("subspace frames must be 8 x m with 4 <= m <= 8")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if gram_defect4(S) > 1e-8:
+        raise ValueError("subspace frame is not orthonormal")
+    W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(S.shape[1], 4))
+                                      for r in range(restarts)]))
+    objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64), S)
+    frames, values, stop, iters, backs = _ascend(objective, W0, steps, 0.1, gtol=1e-8)
+    b = int(np.argmax(values))
+    return AscentResult(float(values[b]), Plane4(orthonormal_frame((S @ frames[b]).T)),
+                        dict(zip(STOP_REASONS, np.bincount(stop, minlength=3).tolist())),
+                        int(iters.sum()), int(backs.sum()))
+
+
+def five_plane_comass(subspaces, phi) -> np.ndarray:
+    """Max of phi over the oriented 4-planes of each 5-plane W of a (P, 8, 5) stack.
+
+    phi on W is the W-Hodge dual of n, n_i = (-1)^i phi(W without column i), so the
+    max is |n|, on n-perp in W (Harvey-Lawson, Calibrated Geometries, section IV)."""
+    S = np.asarray(subspaces, dtype=float)
+    if S.ndim != 3 or S.shape[1:] != (8, 5):
+        raise ValueError("subspace frames must be a (P, 8, 5) stack")
+    if len(S) and gram_defect4(S) > 1e-8:
+        raise ValueError("subspace frame is not orthonormal")
+    cofaces = [[j for j in range(5) if j != i] for i in range(5)]
+    n = calibration_values_batch(S[:, :, cofaces].transpose(0, 2, 1, 3).reshape(-1, 8, 4),
+                                 phi).reshape(-1, 5)  # |n| ignores the signs
+    return np.sqrt(np.einsum("pi,pi->p", n, n))
 
 
 def found_cayley(result: AscentResult, tol: float = DEFAULT_CAYLEY_TOL) -> bool:

@@ -20,7 +20,7 @@ from .cayley import phi0, stabilizer_dimension
 from .forms import basis_vector, evaluate, hodge, inner, volume_form, wedge
 from .mirror import mirror_pair, su3_from_2frame
 from .planes import acs_from_2frame, cayley_plane_from_3frame, comass, \
-    contains_cayley_batch, is_cayley_octonionic, orthonormal_frame, random_planes_batch
+    five_plane_comass, is_cayley_octonionic, orthonormal_frame, random_planes_batch
 from .reporting import canonical_json
 
 
@@ -178,7 +178,7 @@ def criterion_6_free_dimension(seed: int = 0, five_planes: int = 100) -> Criteri
     cm = comass(p, restarts=64, steps=500, seed=seed)
     rng = np.random.default_rng(seed + 1)
     S = np.stack([orthonormal_frame(rng.normal(size=(8, 5)).T) for _ in range(five_planes)])
-    min5 = min(r.value for r in contains_cayley_batch(S, p, restarts=16, steps=500, seed=seed))
+    min5 = float(np.min(five_plane_comass(S, p)))
     e = lambda i: basis_vector(8, i)
     raw = evaluate(p.form, [e(1), e(2), e(3), e(5)])
     checks = {
@@ -217,8 +217,12 @@ def criterion_7_cayley_equivalence(seed: int = 0, count: int = 1000) -> Criterio
 def criterion_8_topology() -> CriterionResult:
     """Exact intersection identity, structure verdicts, Betti table."""
     t0 = time.perf_counter()
-    grid_ok = all(topology.intersection_with_cay0(chi, sig) == chi
-                  for chi in range(-100, 101) for sig in range(-100, 101))
+    # gauss_class is linear and the pairing bilinear, so two exact values prove
+    # intersection = chi on all of Z^2; four points check intersection_with_cay0
+    pair = lambda *e: topology.pairing(topology.cay0_dual(), topology.gauss_class(*e))
+    points = ((0, 0), (2, 1), (-4, 0), (100, -100))
+    grid_ok = (pair(1, 0), pair(0, 1)) == (1, 0) \
+        and all(topology.intersection_with_cay0(chi, sig) == chi for chi, sig in points)
     mk = lambda p1sq, p2, chi: topology.ManifoldInvariants(
         True, True, True, p1sq, p2, chi, 0)
     betti = [topology.betti_g48(k) for k in (0, 4, 8, 12, 16)]

@@ -288,6 +288,20 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert "--n must be at least 1" in err
 
+    @pytest.mark.parametrize("form", [blade(8, 1, 2), blade(6, 1, 2, 3, 4)],
+                             ids=["2-form", "4-form-on-R6"])
+    @pytest.mark.parametrize("command", [["plane", "test", "--frame"], ["plane", "comass"],
+                                         ["phi", "eval", "--frame"],
+                                         ["mirror", "build", "--frame"]],
+                             ids=lambda c: "-".join(c[:2]))
+    def test_phi_must_be_a_4form_on_r8(self, capsys, form_file, free_frame_file, command, form):
+        path = form_file(form)
+        argv = command + [free_frame_file] * (command[-1] == "--frame") + ["--phi", path]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert (f"{path}: --phi must be a 4-form on R^8, "
+                f"got degree {form.degree} on R^{form.n}") in err
+
     def test_comass_needs_a_restart(self, capsys):
         code, out, err = run_cli(capsys, "plane", "comass", "--restarts", "0")
         assert code == 2 and out == ""

@@ -7,13 +7,13 @@ import pytest
 
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import phi0, phi_octonionic
-from cayley_workbench.forms import basis_vector
+from cayley_workbench.forms import KForm, basis_vector, blade_masks
 from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _ascend,
                                      _value_and_grad,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
-                                     contains_cayley, contains_cayley_batch, found_cayley,
+                                     contains_cayley, five_plane_comass, found_cayley,
                                      hypercomplex_from_triple, is_cayley,
                                      is_cayley_free, is_cayley_octonionic,
                                      octonionic_residual, orthonormal_frame,
@@ -24,6 +24,10 @@ P0 = phi0()
 CALIBRATION = partial(_value_and_grad, P0.tensor.reshape(64, 64))
 e = lambda i: basis_vector(8, i)
 ef = lambda i: np.asarray(e(i), dtype=float)
+#: a dense integer 4-form on all 70 blades, neither self-dual nor Cayley
+DENSE = KForm(8, 4, {m: int(c) for m, c in
+                     zip(blade_masks(8, 4), np.random.default_rng(5).integers(-3, 4, 70))
+                     if c})
 
 
 class TestFrames:
@@ -299,18 +303,13 @@ class TestOptimization:
     def test_stacked_searches_match_separate_calls(self):
         R, seed = 6, 5
         rng = np.random.default_rng(11)
-        subs = np.stack([orthonormal_frame(rng.normal(size=(8, 6)).T) for _ in range(3)])
-        batched = contains_cayley_batch(subs, P0, restarts=R, seed=seed)
-        # P subspaces in one stack vs P scalar calls
-        for S, res in zip(subs, batched):
-            one = contains_cayley(S, P0, restarts=R, seed=seed)
-            assert abs(res.value - one.value) <= 1e-12 and res.stops == one.stops
-            assert np.max(np.abs(res.plane.basis - one.plane.basis)) <= 1e-12
+        subs = [orthonormal_frame(rng.normal(size=(8, 6)).T) for _ in range(3)]
         # R restarts in one stack vs R batch-of-one calls seeded seed + r
         searches = [(comass(P0, restarts=R, steps=200, seed=seed),
                      [comass(P0, restarts=1, steps=200, seed=seed + r) for r in range(R)])]
-        searches += [(res, [contains_cayley(S, P0, restarts=1, seed=seed + r) for r in range(R)])
-                     for S, res in zip(subs, batched)]
+        searches += [(contains_cayley(S, P0, restarts=R, seed=seed),
+                      [contains_cayley(S, P0, restarts=1, seed=seed + r) for r in range(R)])
+                     for S in subs]
         for res, singles in searches:
             assert abs(res.value - max(s.value for s in singles)) <= 1e-12
             assert min(np.max(np.abs(res.plane.basis - s.plane.basis)) for s in singles) <= 1e-12
@@ -318,13 +317,14 @@ class TestOptimization:
 
     def test_stop_gtol_from_a_cayley_plane(self):
         # a Cayley plane maximizes the calibration: its gradient vanishes
-        I = np.eye(8)[None]
-        _, values, stop, iters, _ = _ascend(CALIBRATION, I[:, :, :4], I, 500, 0.1, 1e-8)
+        I = np.eye(8)
+        _, values, stop, iters, _ = _ascend(partial(CALIBRATION, I), I[None, :, :4],
+                                            500, 0.1, 1e-8)
         assert STOP_REASONS[stop[0]] == "gtol" and iters[0] == 0 and values[0] == 1.0
 
     def test_stop_line_search_stall_without_gtol(self):
         V0 = random_planes_batch(4, np.random.default_rng(12))
-        _, values, stop, _, backtracks = _ascend(CALIBRATION, V0, np.tile(np.eye(8), (4, 1, 1)),
+        _, values, stop, _, backtracks = _ascend(partial(CALIBRATION, np.eye(8)), V0,
                                                  10_000, 0.1, 0.0)
         assert [STOP_REASONS[s] for s in stop] == ["line_search_stall"] * 4
         assert np.all(backtracks > 0) and np.all(np.abs(values - 1) < 1e-12)
@@ -333,6 +333,34 @@ class TestOptimization:
         res = comass(P0, restarts=4, steps=1, seed=0)
         assert res.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 4}
         assert res.iterations == 4 and not res.converged and res.warning
+
+
+class TestFivePlaneComass:
+    @pytest.mark.parametrize("form", [P0, 2 * P0.form, DENSE], ids=["phi0", "2phi0", "dense"])
+    def test_closed_form_matches_the_search_and_its_witness(self, form):
+        S = orthonormal_frame(list(np.random.default_rng(21).normal(size=(5, 10, 8))))
+        values = five_plane_comass(S, form)
+        assert values.shape == (10,)
+        for W, c in zip(S, values):
+            tol = 1e-12 * max(1.0, c)
+            assert abs(contains_cayley(W, form, restarts=8).value - c) <= tol
+            # n_i = (-1)^i form(W without column i); the plane n-perp in W, oriented
+            # so that (n, plane) is positive in W, calibrates to |n|
+            n = np.array([(-1) ** i * calibration_value(Plane4(np.delete(W, i, axis=1)), form)
+                          for i in range(5)])
+            Q = np.linalg.qr(np.column_stack([n, np.eye(5)[:, :4]]))[0]
+            Q *= np.sign(Q[:, 0] @ n)
+            if np.linalg.det(Q) < 0:
+                Q[:, 1] *= -1
+            assert abs(calibration_value(Plane4(W @ Q[:, 1:]), form) - c) <= tol
+            assert abs(np.linalg.norm(n) - c) <= tol
+
+    def test_bad_stacks(self):
+        S = orthonormal_frame(list(np.random.default_rng(22).normal(size=(5, 3, 8))))
+        for bad in (S[0], S[:, :, :4], np.concatenate([S, S[:, :, :1]], axis=2), S[:, :7],
+                    2 * S):
+            with pytest.raises(ValueError):
+                five_plane_comass(bad, P0)
 
 
 class TestHypercomplex:
