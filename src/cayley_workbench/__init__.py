@@ -1,8 +1,8 @@
 """Pointwise linear-algebra workbench for the Cayley 4-form on R^8."""
 
 from .cayley import (AdmissibilityReport, BestMismatch, CayleyForm, ConventionMap,
-                     admissibility_report, orbit_distance, phi0, phi_octonionic,
-                     reconcile, stabilizer_dimension)
+                     OrbitResult, admissibility_report, orbit_distance, orbit_search,
+                     phi0, phi_octonionic, reconcile, stabilizer_dimension)
 from .forms import (KForm, blade, evaluate, flat, hodge, inner, interior, restrict,
                     volume_form, wedge)
 from .frame_identities import (FrameInvariants, REFERENCE_MAGNITUDES,

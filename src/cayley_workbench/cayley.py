@@ -14,6 +14,13 @@ Admissibility of an arbitrary 4-form is certified by three auditable
 predicates: self-duality, squared norm 14, and a 21-dimensional
 annihilator inside so(8) (computed as an exact integer rank when the
 input is exact).
+
+Membership of phi0's SO(8)-orbit is decided by construction: Spin(7) acts
+simply transitively on orthonormal (e1, e2, e3, e5) with e5 orthogonal to
+the Cayley plane of (e1, e2, e3), so the frame completed by the form's
+triple cross carries every form of the orbit onto one fixed 14-term +-1
+form (Harvey-Lawson, Calibrated Geometries, section IV.1).  Forms outside
+the orbit fall back to a numerical descent.
 """
 
 from __future__ import annotations
@@ -109,6 +116,12 @@ class CayleyForm:
     @cached_property
     def tensor(self) -> np.ndarray:
         return self.form.to_tensor()
+
+    @cached_property
+    def orbit_rotation(self) -> np.ndarray | None:
+        """A rotation g in SO(8) with g*form = phi0 (pullback), built from the
+        triple cross; None for a form outside phi0's SO(8)-orbit."""
+        return _orbit_rotation(self.tensor)
 
 
 def as_kform(phi) -> KForm:
@@ -369,6 +382,7 @@ class AdmissibilityReport:
     norm14: bool
     stab_dim: int
     exact_match: ConventionMap | None
+    orbit_residual: float | None  # |g*a - phi0| of the constructed rotation
 
     @property
     def admissible(self) -> bool:
@@ -381,12 +395,18 @@ class AdmissibilityReport:
             "stab_dim": self.stab_dim,
             "exact_match": None if self.exact_match is None
             else self.exact_match.to_json_dict(),
+            "orbit_residual": self.orbit_residual,
             "admissible": self.admissible,
         }
 
 
 def admissibility_report(a, tol: float = 1e-10) -> AdmissibilityReport:
-    """Check the three pointwise certificates that ``a`` is a Cayley form."""
+    """Check the three pointwise certificates that ``a`` is a Cayley form.
+
+    ``exact_match`` is the signed permutation onto phi0 of an exact +-1 form;
+    ``orbit_residual`` is the misfit of the rotation constructed from the triple
+    cross, for float forms too, and None outside phi0's orbit.
+    """
     f = as_kform(a)
     if f.degree != 4 or f.n != 8:
         raise ValueError("admissibility is defined for 4-forms on R^8")
@@ -400,40 +420,126 @@ def admissibility_report(a, tol: float = 1e-10) -> AdmissibilityReport:
         result = reconcile(f, phi0())
         if isinstance(result, ConventionMap):
             match = result
-    return AdmissibilityReport(self_dual, norm14, stabilizer_dimension(f), match)
+    c = as_cayley(a)
+    g = c.orbit_rotation
+    residual = None if g is None else _misfit(c.tensor.reshape(64, 64), g)
+    return AdmissibilityReport(self_dual, norm14, stabilizer_dimension(f), match, residual)
 
 
-# -- numerical orbit descent --------------------------------------------------
+# -- orbit membership: construction, else numerical descent --------------------
+
+_ORBIT_TOL = 1e-10
+
+
+def _triple_cross_frame(T: np.ndarray) -> np.ndarray | None:
+    """Columns e1, e2, e3, P(e1,e2,e3), e5, P(e1,e2,e5), P(e1,e3,e5), P(e2,e3,e5).
+
+    P is the triple cross <P(x,y,z), w> = T(x,y,z,w), e1..e3 are the first
+    coordinate vectors and e5 is the coordinate vector least aligned with
+    e4 = P(e1,e2,e3), made orthogonal to it.  None when e4 is not a unit vector.
+    """
+    e4 = T[0, 1, 2]
+    if abs(e4 @ e4 - 1.0) > _ORBIT_TOL:
+        return None
+    j = 3 + int(np.argmin(np.abs(e4[3:])))
+    e5 = -e4[j] * e4
+    e5[j] += 1.0
+    e5 /= np.sqrt(1.0 - e4[j] ** 2)
+    return np.column_stack([*np.eye(8)[:3], e4, e5, e5 @ T[0, 1], e5 @ T[0, 2], e5 @ T[1, 2]])
+
+
+def _pair_operator(W: np.ndarray) -> np.ndarray:
+    """g (x) g as a 64 x 64 matrix, for a matrix or a stack of them: a 4-tensor
+    reshaped to 64 x 64 pulls back through g as K^T A K."""
+    K = W[..., :, None, :, None] * W[..., None, :, None, :]
+    return K.reshape(W.shape[:-2] + (64, 64))
+
+
+@lru_cache(maxsize=1)
+def _reference_frame() -> tuple[np.ndarray, np.ndarray]:
+    """phi0's own triple-cross frame g0 (a signed permutation) and the fixed
+    +-1 form g0*phi0, as 64 x 64, onto which every form of the orbit pulls back."""
+    T = phi0().tensor
+    g0 = _triple_cross_frame(T)
+    K = _pair_operator(g0)
+    return g0, K.T @ T.reshape(64, 64) @ K
+
+
+def _orbit_rotation(T: np.ndarray) -> np.ndarray | None:
+    """g in SO(8) with g*T = phi0 when T's triple-cross frame is orthonormal and
+    pulls T back onto the fixed form (both to ``_ORBIT_TOL``); None otherwise.
+    Every form of phi0's O(8)-orbit passes the pattern test, so the orientation
+    of g is what excludes the anti-self-dual half."""
+    g = _triple_cross_frame(T)
+    if g is None or np.max(np.abs(g.T @ g - np.eye(8))) > _ORBIT_TOL:
+        return None
+    g0, reference = _reference_frame()
+    K = _pair_operator(g)
+    if np.max(np.abs(K.T @ T.reshape(64, 64) @ K - reference)) > _ORBIT_TOL:
+        return None
+    g = g @ g0.T
+    return g if np.linalg.det(g) > 0 else None
+
+
+def _misfit(A: np.ndarray, g: np.ndarray) -> float:
+    """Form-norm distance |g*a - phi0|; A is a's tensor reshaped to 64 x 64."""
+    K = _pair_operator(g)
+    R = K.T @ A @ K - phi0().tensor.reshape(64, 64)
+    return float(np.sqrt(np.sum(R * R) / 24.0))  # tensor Frobenius^2 = 24 form norm^2
+
+
+@dataclass(frozen=True)
+class OrbitResult:
+    """Closest rotation to phi0 found for a form, and how: ``method`` is
+    "construction" when the triple-cross frame certified orbit membership, else
+    "descent", whose restarts ``stops`` counts by ``planes.STOP_REASONS``."""
+
+    distance: float
+    rotation: np.ndarray
+    method: str
+    stops: dict
+
+
+def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> OrbitResult:
+    """Minimize the distance from g*a to phi0 over g in SO(8).
+
+    A form in phi0's orbit gets the rotation built from its triple cross, with
+    no descent.  Otherwise the restarts start from the identity and then from
+    Haar rotations drawn from default_rng(seed); all of them ascend
+    -|g*a - phi0|^2 as one stack in ``planes._ascend``.  A descent to ~0
+    certifies orbit membership numerically; a positive floor is evidence (not
+    proof) of a different orbit.
+    """
+    from .planes import STOP_REASONS, _ascend  # planes imports this module
+
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    c = as_cayley(a)
+    A = c.tensor.reshape(64, 64)
+    if c.orbit_rotation is not None:
+        return OrbitResult(_misfit(A, c.orbit_rotation), c.orbit_rotation, "construction", {})
+    T = phi0().tensor.reshape(64, 64)
+    rng = np.random.default_rng(seed)
+    W = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
+    rotations, values, stop, *_ = _ascend(partial(_negative_misfit, A, T), W, steps, 0.05,
+                                          gtol=1e-12)
+    best = int(np.argmax(values))
+    return OrbitResult(float(np.sqrt(-values[best] / 24.0)), rotations[best], "descent",
+                       dict(zip(STOP_REASONS, np.bincount(stop, minlength=3).tolist())))
 
 
 def orbit_distance(a, steps: int = 400, restarts: int = 4,
                    seed: int = 0) -> tuple[float, np.ndarray]:
-    """Minimize the distance from g*a to phi0 over g in SO(8).
-
-    The restarts start from the identity and then from Haar rotations drawn
-    from default_rng(seed); all of them ascend -|g*a - phi0|^2 as one stack
-    in ``planes._ascend``.  Returns (form-norm distance, best rotation).  A
-    descent to ~0 certifies orbit membership numerically; a positive floor
-    is evidence (not proof) of a different orbit.
-    """
-    from .planes import _ascend  # planes imports this module
-
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    A, T = (as_cayley(f).tensor.reshape(64, 64) for f in (a, phi0()))
-    rng = np.random.default_rng(seed)
-    W = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
-    rotations, values, *_ = _ascend(partial(_negative_misfit, A, T), W, steps, 0.05, gtol=1e-12)
-    best = int(np.argmax(values))
-    # tensor Frobenius^2 = 24 * form norm^2 in degree 4
-    return float(np.sqrt(-values[best] / 24.0)), rotations[best]
+    """(form-norm distance, rotation) of ``orbit_search``."""
+    result = orbit_search(a, steps, restarts, seed)
+    return result.distance, result.rotation
 
 
 def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray):
     """-|g*a - target|^2 over a stack W of rotations g, with its Riemannian
     gradient on O(8) and the gradient norms; A and T are the 4-tensors
     reshaped to 64 x 64, on which g acts as g (x) g on both sides."""
-    K = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, 64, 64)
+    K = _pair_operator(W)
     AK = A @ K
     R = K.transpose(0, 2, 1) @ AK - T
     # d|R|^2 = 4 <AK R, dK> with dK = dg (x) g + g (x) dg; antisymmetry makes

@@ -16,7 +16,7 @@ import numpy as np
 from . import frame_identities as fid
 from . import planes, representations, topology, verify
 from .cayley import (CayleyForm, ConventionMap, admissibility_report,
-                     orbit_distance, phi0, phi_octonionic, reconcile)
+                     orbit_search, phi0, phi_octonionic, reconcile)
 from .forms import KForm
 from .mirror import NotCayleyFreeError, mirror_pair
 from .planes import (Frame4, Plane4, calibration_value, comass, contains_cayley,
@@ -113,8 +113,11 @@ def cmd_phi_check(args):
     report = admissibility_report(form)
     payload = {"config": _config(args, ("input",)), **report.to_json_dict()}
     if args.descend:
-        dist, _ = orbit_distance(form, seed=args.seed)
-        payload["orbit_distance_to_phi0"] = dist
+        orbit = orbit_search(form, seed=args.seed)
+        payload["orbit_distance_to_phi0"] = orbit.distance
+        payload["orbit_method"] = orbit.method
+        if orbit.method == "descent":
+            payload["orbit_stops"] = orbit.stops
     return payload, False
 
 
@@ -347,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="admissibility certificates of a 4-form")
     p.add_argument("--input", required=True)
     p.add_argument("--descend", action="store_true",
-                   help="also run the numerical orbit descent toward phi0")
+                   help="also find the distance to phi0's orbit: by construction "
+                        "for orbit forms, else by numerical descent")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_phi_check)
     p = phi_sub.add_parser("reconcile", parents=[common],

@@ -2,10 +2,11 @@
 
 Calibration values, Cayley / Cayley-free tests (coordinate and octonionic),
 the almost complex structure of a 2-frame, triple-cross plane construction,
-Haar sampling, the closed-form maximum over the 4-planes of a 5-plane, and
-the stacked Riemannian gradient ascent (``_ascend``) that runs the multistart
-comass and contained-Cayley-plane searches inside one subspace and, for
-``cayley.orbit_distance``, the orbit search over SO(8).
+Haar sampling, the closed-form maximum over the 4-planes of a 5-plane
+(which also answers contained-Cayley-plane questions for 4- and 5-planes and
+for forms in phi0's orbit), and the stacked Riemannian gradient ascent
+(``_ascend``) that runs the multistart comass and the remaining subspace
+searches and, for ``cayley.orbit_search``, the orbit descent over SO(8).
 
 The hot numeric paths work on the dense antisymmetric coefficient tensor
 of the form; exact integer frames keep an exact evaluation path so that
@@ -323,7 +324,7 @@ def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float
     ``value_and_grad(W)`` returns per row the objective, its Riemannian
     gradient and the gradient norm; each objective closes over its own
     subspace or tensors.  ``contains_cayley`` ascends the calibration value
-    of (B, m, 4) frames inside one subspace; ``cayley.orbit_distance``
+    of (B, m, 4) frames inside one subspace; ``cayley.orbit_search``
     ascends over (B, 8, 8) rotations.  The rows advance in lockstep, one
     stacked QR retraction per candidate, each with its own Armijo step that
     starts at ``step0`` and halves on every rejection.  A row stops at
@@ -359,7 +360,8 @@ def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float
 @dataclass(frozen=True)
 class AscentResult:
     """Best of a multistart ascent; ``stops`` counts restarts by STOP_REASONS, and
-    ``iterations`` / ``backtracks`` total their accepted and rejected steps."""
+    ``iterations`` / ``backtracks`` total their accepted and rejected steps.  An
+    answer taken in closed form has ``stops == {"closed_form": 1}`` and no steps."""
 
     value: float
     plane: Plane4
@@ -369,7 +371,7 @@ class AscentResult:
 
     @property
     def converged(self) -> bool:
-        return self.stops["step_budget"] == 0
+        return self.stops.get("step_budget", 0) == 0
 
     @property
     def warning(self) -> str | None:
@@ -380,19 +382,26 @@ def comass(phi, restarts: int = 64, steps: int = 500, seed: int = 0) -> AscentRe
     """Multistart estimate of max_{oriented 4-planes} phi, with maximizer.
 
     For an admissible form this is the calibration bound 1, attained on
-    the Cayley Grassmannian.
+    the Cayley Grassmannian.  It is always the ascent over R^8, never a closed
+    form: criterion 6 reads it as numerical evidence for that bound.
     """
-    return contains_cayley(np.eye(8), phi, restarts, steps, seed)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    return _search(np.eye(8), phi, restarts, steps, seed)
 
 
 def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
                     seed: int = 0) -> AscentResult:
-    """Search a subspace (orthonormal m-frame, 4 <= m <= 8) for a Cayley plane.
+    """Largest calibration value over the 4-planes of a subspace (orthonormal
+    m-frame, 4 <= m <= 8), with a plane attaining it.
 
-    Ascends the calibration value over 4-planes inside the subspace; restart r
-    starts from the Q factor of default_rng(seed + r).normal(size=(m, 4)), and
-    all restarts run as one stack.  ``found_cayley(result, tol)`` certifies the
-    witness at ``value >= 1 - tol``.
+    Answered in closed form where a theorem gives the maximum: for m = 4 the
+    subspace itself, for m = 5 the plane n-perp of ``five_plane_comass``, and for
+    m = 6..8, when phi is in phi0's orbit (``CayleyForm.orbit_rotation``), the
+    Cayley plane n-perp of the first five columns, since phi's comass is 1.
+    Otherwise restart r ascends from the Q factor of
+    default_rng(seed + r).normal(size=(m, 4)), all restarts as one stack.
+    ``found_cayley(result, tol)`` certifies the witness at ``value >= 1 - tol``.
     """
     S = np.asarray(subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace),
                    dtype=float)
@@ -402,6 +411,14 @@ def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if gram_defect4(S) > 1e-8:
         raise ValueError("subspace frame is not orthonormal")
+    phi = as_cayley(phi)  # one tensor for the orbit test and the answer
+    if S.shape[1] <= 5 or phi.orbit_rotation is not None:
+        return _best_plane_of_five(S[:, :5], phi)
+    return _search(S, phi, restarts, steps, seed)
+
+
+def _search(S: np.ndarray, phi, restarts: int, steps: int, seed: int) -> AscentResult:
+    """Multistart ascent of the calibration value over the 4-planes of span(S)."""
     W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(S.shape[1], 4))
                                       for r in range(restarts)]))
     objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64), S)
@@ -410,6 +427,27 @@ def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
     return AscentResult(float(values[b]), Plane4(orthonormal_frame((S @ frames[b]).T)),
                         dict(zip(STOP_REASONS, np.bincount(stop, minlength=3).tolist())),
                         int(iters.sum()), int(backs.sum()))
+
+
+def _best_plane_of_five(S: np.ndarray, phi) -> AscentResult:
+    """The maximizing 4-plane of a 4- or 5-dimensional subspace: span(S) itself,
+    or n-perp in it (see ``five_plane_comass``), in the orientation phi takes
+    positive."""
+    if S.shape[1] == 5:
+        n = _five_plane_normals(S[None], phi)[0]
+        S = S @ np.linalg.qr(n[:, None], mode="complete")[0][:, 1:]
+    B = orthonormal_frame(S.T)
+    frames = np.stack([B, B[:, [1, 0, 2, 3]]])
+    values = calibration_values_batch(frames, phi)
+    b = int(np.argmax(values))
+    return AscentResult(float(values[b]), Plane4(frames[b]), {"closed_form": 1}, 0, 0)
+
+
+def _five_plane_normals(S: np.ndarray, phi) -> np.ndarray:
+    """n_i = (-1)^i phi(W without column i) for each 5-plane W of a (P, 8, 5) stack."""
+    cofaces = [[j for j in range(5) if j != i] for i in range(5)]
+    c = calibration_values_batch(S[:, :, cofaces].transpose(0, 2, 1, 3).reshape(-1, 8, 4), phi)
+    return c.reshape(-1, 5) * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 def five_plane_comass(subspaces, phi) -> np.ndarray:
@@ -422,9 +460,7 @@ def five_plane_comass(subspaces, phi) -> np.ndarray:
         raise ValueError("subspace frames must be a (P, 8, 5) stack")
     if len(S) and gram_defect4(S) > 1e-8:
         raise ValueError("subspace frame is not orthonormal")
-    cofaces = [[j for j in range(5) if j != i] for i in range(5)]
-    n = calibration_values_batch(S[:, :, cofaces].transpose(0, 2, 1, 3).reshape(-1, 8, 4),
-                                 phi).reshape(-1, 5)  # |n| ignores the signs
+    n = _five_plane_normals(S, phi)
     return np.sqrt(np.einsum("pi,pi->p", n, n))
 
 

@@ -50,7 +50,7 @@ class SplitBasis:
 
 def _require_admissible(phi) -> KForm:
     f = as_kform(phi)
-    if not admissibility_report(f).admissible:
+    if not admissibility_report(phi).admissible:
         raise ValueError("form fails the admissibility certificates; refusing to split")
     return f
 

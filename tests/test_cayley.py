@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cayley_workbench import octonions as o
-from cayley_workbench.cayley import (BestMismatch, ConventionMap,
+from cayley_workbench.cayley import (BestMismatch, CayleyForm, ConventionMap,
                                      admissibility_report, derivation_action,
-                                     orbit_distance, phi0, phi_octonionic,
-                                     reconcile, so8_basis_element,
+                                     orbit_distance, orbit_search, phi0,
+                                     phi_octonionic, reconcile, so8_basis_element,
                                      stabilizer_dimension)
 from cayley_workbench.forms import (KForm, blade, blade_masks, evaluate, hodge,
                                     indices_of, inner, volume_form, wedge)
@@ -205,6 +205,16 @@ class TestAdmissibility:
         assert not rep.self_dual and rep.norm14
         assert not rep.admissible
 
+    def test_orbit_residual_of_a_rotated_float_form(self):
+        rep = admissibility_report(_rotated_phi0(6))
+        assert rep.exact_match is None and rep.admissible
+        assert rep.orbit_residual <= 1e-12
+        assert admissibility_report(phi0()).orbit_residual == 0.0
+
+    def test_no_orbit_residual_outside_the_orbit(self):
+        assert admissibility_report(BROKEN_PHI0).orbit_residual is None
+        assert admissibility_report(2 * phi0().form).orbit_residual is None
+
     def test_float_form_numerical_rank(self):
         f = phi0().form
         fl = KForm(8, 4, {m: float(c) for m, c in f.terms.items()})
@@ -235,6 +245,27 @@ def _rotate(T, g):
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", T, g, g, g, g, optimize=True)
 
 
+def _haar_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(8, 8)))
+    g = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(g) < 0:
+        g[:, 0] = -g[:, 0]
+    return g
+
+
+def _from_tensor(T):
+    terms = {}
+    for m in blade_masks(8, 4):
+        idx = tuple(i - 1 for i in indices_of(m))
+        if abs(T[idx]) > 1e-15:
+            terms[m] = float(T[idx])
+    return KForm(8, 4, terms)
+
+
+def _rotated_phi0(seed):
+    return _from_tensor(_rotate(phi0().tensor, _haar_rotation(seed)))
+
+
 class TestOrbitDescent:
     def _check(self, a, dist, g):
         # the rotation lies in SO(8) and reproduces the distance it reports
@@ -244,21 +275,20 @@ class TestOrbitDescent:
         assert abs(np.sqrt(np.sum(residual ** 2) / 24.0) - dist) < 1e-12
 
     def test_rotated_form_descends_to_zero(self):
-        rng = np.random.default_rng(4)
-        q, r = np.linalg.qr(rng.normal(size=(8, 8)))
-        g = q @ np.diag(np.sign(np.diag(r)))
-        if np.linalg.det(g) < 0:
-            g[:, 0] = -g[:, 0]
-        rot = _rotate(phi0().tensor, g)
-        terms = {}
-        for m in blade_masks(8, 4):
-            idx = tuple(i - 1 for i in indices_of(m))
-            if abs(rot[idx]) > 1e-15:
-                terms[m] = float(rot[idx])
-        a = KForm(8, 4, terms)
+        a = _rotated_phi0(4)
         dist, rotation = orbit_distance(a, steps=300, restarts=3, seed=0)
         assert dist < 1e-8
         self._check(a, dist, rotation)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_rotated_phi0_is_constructed(self, seed):
+        a = _rotated_phi0(seed)
+        result = orbit_search(a)
+        assert result.method == "construction" and result.stops == {}
+        assert result.distance <= 1e-12
+        self._check(a, result.distance, result.rotation)
+        dist, rotation = orbit_distance(a)
+        assert dist == result.distance and np.array_equal(rotation, result.rotation)
 
     def test_decomposable_form_stays_away(self):
         # unit decomposable a: dist^2 = |a|^2 + 14 - 2 comass(phi0) = 13
@@ -266,6 +296,25 @@ class TestOrbitDescent:
         dist, rotation = orbit_distance(a, steps=200, restarts=2, seed=0)
         assert abs(dist - np.sqrt(13)) < 1e-9
         self._check(a, dist, rotation)
+
+    def test_rotated_blade_descends_and_says_how_it_stopped(self):
+        a = _from_tensor(_rotate(blade(8, 1, 2, 3, 4).to_tensor(), _haar_rotation(10)))
+        result = orbit_search(a, steps=200, restarts=2, seed=0)
+        assert result.method == "descent" and sum(result.stops.values()) == 2
+        assert abs(result.distance - np.sqrt(13)) < 1e-9
+
+    @pytest.mark.parametrize("form", [2 * phi0().form, BROKEN_PHI0, blade(8, 1, 2, 3, 4)],
+                             ids=["2phi0", "broken", "blade"])
+    def test_no_construction_outside_the_orbit(self, form):
+        assert CayleyForm(form).orbit_rotation is None
+
+    def test_orientation_reversed_phi0_is_outside_the_orbit(self):
+        # a reflection carries phi0 to an anti-self-dual form: same O(8)-orbit,
+        # other SO(8)-orbit; its triple-cross frame still matches the fixed
+        # pattern, but gives an orientation-reversing map onto phi0
+        reflected = _from_tensor(_rotate(phi0().tensor, np.diag([-1.0] + [1.0] * 7)))
+        assert CayleyForm(reflected).orbit_rotation is None
+        assert orbit_search(reflected, restarts=1).method == "descent"
 
     def test_phi0_from_the_identity_start(self):
         dist, rotation = orbit_distance(phi0(), restarts=1)

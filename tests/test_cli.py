@@ -94,13 +94,26 @@ class TestPhiCommands:
         code, out, _ = run_cli(capsys, "phi", "check", "--input", form_file(phi0().form),
                                "--descend")
         assert code == 0
-        assert json.loads(out)["orbit_distance_to_phi0"] < 1e-8
+        payload = json.loads(out)
+        assert payload["orbit_distance_to_phi0"] < 1e-8
+        assert payload["orbit_method"] == "construction" and "orbit_stops" not in payload
+        assert payload["orbit_residual"] == 0.0
+
+    def test_check_with_descent_outside_the_orbit(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "phi", "check", "--input",
+                               form_file(blade(8, 1, 2, 3, 4)), "--descend")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["orbit_distance_to_phi0"] - 13 ** 0.5) < 1e-9
+        assert payload["orbit_method"] == "descent" and payload["orbit_residual"] is None
+        assert set(payload["orbit_stops"]) == {"gtol", "line_search_stall", "step_budget"}
+        assert sum(payload["orbit_stops"].values()) == 4
 
     def test_check_fourteen_unit_terms_not_cayley(self, capsys, form_file):
         code, out, _ = run_cli(capsys, "phi", "check", "--input", form_file(BROKEN_PHI0))
         assert code == 0
         payload = json.loads(out)
-        assert payload["exact_match"] is None
+        assert payload["exact_match"] is None and payload["orbit_residual"] is None
         assert payload["admissible"] is False
 
     def test_reconcile_closest_map(self, capsys, form_file):
@@ -161,7 +174,8 @@ class TestPlaneCommands:
                                str(path), "--restarts", "6", "--seed", "0")
         assert code == 0
         assert json.loads(out)["contains_cayley"] is True
-        assert sum(json.loads(out)["stops"].values()) == 6
+        # a 5-plane is answered in closed form, whatever --restarts says
+        assert json.loads(out)["stops"] == {"closed_form": 1}
 
 
 class TestFrameCommands:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cayley_workbench import octonions as o
-from cayley_workbench.cayley import phi0, phi_octonionic
-from cayley_workbench.forms import KForm, basis_vector, blade_masks
+from cayley_workbench.cayley import CayleyForm, phi0, phi_octonionic
+from cayley_workbench.forms import KForm, basis_vector, blade_masks, indices_of
 from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _ascend,
-                                     _value_and_grad,
+                                     _search, _value_and_grad,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
@@ -28,6 +28,18 @@ ef = lambda i: np.asarray(e(i), dtype=float)
 DENSE = KForm(8, 4, {m: int(c) for m, c in
                      zip(blade_masks(8, 4), np.random.default_rng(5).integers(-3, 4, 70))
                      if c})
+TWO_PHI0 = CayleyForm(2 * P0.form)
+
+
+def _haar_rotated_phi0(seed):
+    """(g, a) with a = g*phi0 for a Haar rotation g, a as a float form."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(8, 8)))
+    g = q * np.sign(np.diag(r))
+    if np.linalg.det(g) < 0:
+        g[:, 0] = -g[:, 0]
+    T = np.einsum("ijkl,ia,jb,kc,ld->abcd", P0.tensor, g, g, g, g, optimize=True)
+    return g, CayleyForm(KForm(8, 4, {m: float(T[tuple(i - 1 for i in indices_of(m))])
+                                      for m in blade_masks(8, 4)}))
 
 
 class TestFrames:
@@ -251,6 +263,13 @@ class TestSampling:
         assert float(np.max(np.abs(vals))) <= 1 + 1e-9
         assert int(np.sum(np.abs(vals) > 1 - 1e-6)) == 0
 
+    def test_cayley_identity(self):
+        # phi0(xi)^2 + r(xi)^2 / 4 = 1 on every oriented plane (Harvey-Lawson, section
+        # IV): the bound phi0 <= 1 that the orbit shortcut of contains_cayley rests on
+        frames = random_planes_batch(20_000, np.random.default_rng(10))
+        defect = calibration_values_batch(frames, P0) ** 2 + octonionic_residual(frames) ** 2 / 4
+        assert float(np.max(np.abs(defect - 1.0))) <= 1e-13
+
     def test_haar_frames_are_orthonormal(self):
         rng = np.random.default_rng(9)
         frames = random_planes_batch(10, rng)
@@ -307,8 +326,10 @@ class TestOptimization:
         # R restarts in one stack vs R batch-of-one calls seeded seed + r
         searches = [(comass(P0, restarts=R, steps=200, seed=seed),
                      [comass(P0, restarts=1, steps=200, seed=seed + r) for r in range(R)])]
-        searches += [(contains_cayley(S, P0, restarts=R, seed=seed),
-                      [contains_cayley(S, P0, restarts=1, seed=seed + r) for r in range(R)])
+        # 2 phi0 is outside phi0's orbit, so its 6-plane questions still search
+        searches += [(contains_cayley(S, TWO_PHI0, restarts=R, seed=seed),
+                      [contains_cayley(S, TWO_PHI0, restarts=1, seed=seed + r)
+                       for r in range(R)])
                      for S in subs]
         for res, singles in searches:
             assert abs(res.value - max(s.value for s in singles)) <= 1e-12
@@ -335,6 +356,38 @@ class TestOptimization:
         assert res.iterations == 4 and not res.converged and res.warning
 
 
+class TestClosedFormWitness:
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["phi0", "rotated_phi0"])
+    def test_witness_calibrates_to_one(self, m, rotated):
+        g, form = _haar_rotated_phi0(31) if rotated else (np.eye(8), P0)
+        rng = np.random.default_rng(32 + m)
+        for _ in range(6):
+            if m == 4:  # a Cayley plane of the form, in a random basis of either orientation
+                xi = cayley_plane_from_3frame(*rng.normal(size=(3, 8))).basis
+                S = g.T @ xi @ np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            else:
+                S = orthonormal_frame(list(rng.normal(size=(m, 8))))
+            res = contains_cayley(S, form)
+            B = res.plane.basis
+            assert np.max(np.abs(S @ (S.T @ B) - B)) < 1e-12
+            assert abs(res.value - 1.0) <= 1e-12
+            assert abs(calibration_value(res.plane, form) - 1.0) <= 1e-12
+            assert res.iterations == 0 and res.backtracks == 0
+            assert res.stops == {"closed_form": 1} and res.converged
+
+    @pytest.mark.parametrize("form", [P0, 2 * P0.form, DENSE], ids=["phi0", "2phi0", "dense"])
+    def test_four_and_five_planes_match_the_search(self, form):
+        rng = np.random.default_rng(33)
+        for m in (4, 5):
+            for _ in range(4):
+                S = orthonormal_frame(list(rng.normal(size=(m, 8))))
+                res, search = contains_cayley(S, form), _search(S, form, 8, 500, 0)
+                # a real ascent (on a 4-plane every restart stops on gtol at once)
+                assert res.stops == {"closed_form": 1} and sum(search.stops.values()) == 8
+                assert abs(res.value - search.value) <= 1e-12 * max(1.0, search.value)
+
+
 class TestFivePlaneComass:
     @pytest.mark.parametrize("form", [P0, 2 * P0.form, DENSE], ids=["phi0", "2phi0", "dense"])
     def test_closed_form_matches_the_search_and_its_witness(self, form):
@@ -343,7 +396,7 @@ class TestFivePlaneComass:
         assert values.shape == (10,)
         for W, c in zip(S, values):
             tol = 1e-12 * max(1.0, c)
-            assert abs(contains_cayley(W, form, restarts=8).value - c) <= tol
+            assert abs(_search(W, form, 8, 500, 0).value - c) <= tol
             # n_i = (-1)^i form(W without column i); the plane n-perp in W, oriented
             # so that (n, plane) is positive in W, calibrates to |n|
             n = np.array([(-1) ** i * calibration_value(Plane4(np.delete(W, i, axis=1)), form)
