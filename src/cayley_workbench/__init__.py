@@ -8,8 +8,8 @@ from .forms import (KForm, blade, evaluate, flat, hodge, inner, interior, restri
 from .frame_identities import (FrameInvariants, REFERENCE_MAGNITUDES,
                                extract_coefficients, identity_lhs, identity_residual,
                                invariants)
-from .mirror import (MirrorReport, NotCayleyFreeError, SU3Structure, compose_acs,
-                     mirror_pair, phi_expansion, su3_from_2frame)
+from .mirror import (DegenerateFormError, MirrorReport, NotCayleyFreeError, SU3Structure,
+                     compose_acs, mirror_pair, phi_expansion, su3_from_2frame)
 from .planes import (ACS, Frame2, Frame4, Plane4, acs_from_2frame, calibration_value,
                      cayley_plane_from_3frame, comass, contains_cayley,
                      five_plane_comass, found_cayley, is_cayley, is_cayley_free,

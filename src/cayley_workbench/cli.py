@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 assertion failure (verify-all with a failing
 criterion; the report is still written), 2 input error (malformed JSON
-is reported with line and column).
+is reported with line and column), 3 internal error (any other exception;
+its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import planes, representations, topology, verify
 from .cayley import (CayleyForm, ConventionMap, admissibility_report,
                      orbit_search, phi0, phi_octonionic, reconcile)
 from .forms import KForm
-from .mirror import NotCayleyFreeError, mirror_pair
+from .mirror import DegenerateFormError, NotCayleyFreeError, mirror_pair
 from .planes import (Frame4, Plane4, calibration_value, comass, contains_cayley,
                      found_cayley, is_cayley, is_cayley_free, is_cayley_octonionic,
                      octonionic_residual, orthonormal_frame, random_planes_batch)
@@ -62,6 +64,21 @@ def _load_vectors(path: str, count: int | None = None) -> list:
     return vectors
 
 
+def _load_frame(path: str) -> Frame4:
+    """A 4-frame whose orthonormal representative exists."""
+    f4 = Frame4.of(*_load_vectors(path, 4))
+    try:
+        f4.frame
+    except ValueError as ex:
+        raise InputError(f"{path}: {ex}") from ex
+    return f4
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise InputError(f"--restarts must be at least 1, got {restarts}")
+
+
 def _phi_source(source: str) -> CayleyForm:
     if source == "builtin:phi0":
         return phi0()
@@ -98,7 +115,7 @@ def cmd_verify_all(args):
 
 def cmd_phi_eval(args):
     phi = _phi_source(args.phi)
-    f4 = Frame4.of(*_load_vectors(args.frame, 4))
+    f4 = _load_frame(args.frame)
     raw = f4.raw_value(phi)
     value = calibration_value(Plane4(f4.frame), phi)
     return {
@@ -110,6 +127,9 @@ def cmd_phi_eval(args):
 
 def cmd_phi_check(args):
     form = _load_form(args.input)
+    if (form.degree, form.n) != (4, 8):
+        raise InputError(f"{args.input}: admissibility is defined for 4-forms on R^8, "
+                         f"got degree {form.degree} on R^{form.n}")
     report = admissibility_report(form)
     payload = {"config": _config(args, ("input",)), **report.to_json_dict()}
     if args.descend:
@@ -145,6 +165,8 @@ def cmd_decompose(args):
     phi = _phi_source(args.phi)
     if not 0 <= args.degree <= 8:
         raise InputError("degree must be 0..8")
+    if 1 <= args.degree <= 7 and not admissibility_report(phi).admissible:
+        raise InputError(f"{args.phi}: form fails the admissibility certificates")
     sb = representations.split(phi, args.degree)
     dims = sb.dims()
     payload = {
@@ -175,7 +197,7 @@ def cmd_decompose(args):
 
 def cmd_plane_test(args):
     phi = _phi_source(args.phi)
-    f4 = Frame4.of(*_load_vectors(args.frame, 4))
+    f4 = _load_frame(args.frame)
     plane = Plane4(f4.frame)
     value = calibration_value(plane, phi)
     payload = {
@@ -216,6 +238,7 @@ def cmd_plane_sample(args):
 
 def cmd_plane_comass(args):
     phi = _phi_source(args.phi)
+    _check_restarts(args.restarts)
     res = comass(phi, restarts=args.restarts, steps=args.steps, seed=args.seed)
     payload = {
         "config": _config(args, ("restarts", "steps", "seed", "phi")),
@@ -232,7 +255,14 @@ def cmd_plane_comass(args):
 def cmd_plane_contains_cayley(args):
     phi = _phi_source(args.phi)
     vectors = _load_vectors(args.subspace)
-    S = orthonormal_frame(vectors)
+    if not 4 <= len(vectors) <= 8:
+        raise InputError(f"{args.subspace}: a subspace needs 4 to 8 vectors, "
+                         f"got {len(vectors)}")
+    _check_restarts(args.restarts)
+    try:
+        S = orthonormal_frame(vectors)
+    except ValueError as ex:
+        raise InputError(f"{args.subspace}: {ex}") from ex
     res = contains_cayley(S, phi, restarts=args.restarts, steps=args.steps, seed=args.seed)
     payload = {
         "config": _config(args, ("subspace", "restarts", "steps", "seed", "tol", "phi")),
@@ -280,11 +310,13 @@ def cmd_frame_extract(args):
 
 def cmd_mirror_build(args):
     phi = _phi_source(args.phi)
-    vectors = _load_vectors(args.frame, 4)
+    f4 = _load_frame(args.frame)
     try:
-        side_uv, side_yw, report = mirror_pair(vectors, phi)
+        side_uv, side_yw, report = mirror_pair(f4, phi)
     except NotCayleyFreeError as ex:
         raise InputError(f"{args.frame}: {ex}") from ex
+    except DegenerateFormError as ex:
+        raise InputError(f"{args.phi}: {ex}") from ex
     def side_payload(s):
         return {
             "frame": [[float(x) for x in row] for row in s.frame],
@@ -445,17 +477,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, failed = args.func(args)
+        text = rows_to_csv(*result) if isinstance(result, tuple) else canonical_json(result)
+        try:
+            emit(text, args.report)
+        except OSError as ex:
+            raise InputError(f"{args.report}: {ex.strerror}") from ex
     except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    if isinstance(result, tuple):
-        header, rows = result
-        emit(rows_to_csv(header, rows), args.report)
-    else:
-        emit(canonical_json(result), args.report)
+    except Exception as ex:
+        print(f"internal error: {ex!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     return 1 if failed else 0
 
 

@@ -14,6 +14,7 @@ dx^1 ^ ... ^ dx^n is the positive volume form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -211,14 +212,29 @@ class KForm:
         """
         dtype = complex if any(isinstance(c, complex) for c in self.terms.values()) \
             else float
-        T = np.zeros((self.n,) * self.degree, dtype=dtype)
-        if self.degree == 0:
-            return T + (self.terms.get(0, 0))
-        for mask, c in self.terms.items():
-            idx = tuple(i - 1 for i in indices_of(mask))
-            for perm in permutations(range(self.degree)):
-                T[tuple(idx[p] for p in perm)] = _inversion_sign(perm) * c
-        return T
+        k, n = self.degree, self.n
+        if k == 0:
+            return np.zeros((), dtype=dtype) + (self.terms.get(0, 0))
+        T = np.zeros(n ** k, dtype=dtype)
+        if self.terms:
+            perms, odd = _permutation_table(k)
+            masks = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
+            idx = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, k)  # 0-based
+            offsets = idx[:, perms] @ n ** np.arange(k - 1, -1, -1)  # (blades, k!)
+            # Python products sign * c: ints and Fractions convert to float as a
+            # scalar store would, and complex entries keep their signed zeros
+            signed = np.array([[s * c for s in (1, -1)] for c in self.terms.values()],
+                              dtype=dtype)
+            T[offsets] = signed[:, odd]
+        return T.reshape((n,) * k)
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k), (k!, k), and 1 where a permutation is odd."""
+    perms = list(permutations(range(k)))
+    odd = [_inversion_sign(p) < 0 for p in perms]
+    return np.array(perms, dtype=np.intp), np.array(odd, dtype=np.intp)
 
 
 def _kform(n: int, degree: int, terms: dict) -> KForm:

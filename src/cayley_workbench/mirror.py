@@ -47,6 +47,10 @@ class NotCayleyFreeError(ValueError):
         self.value = value
 
 
+class DegenerateFormError(ValueError):
+    """Raised when phi(u, v, ., .) puts no complex structure on span{u, v}-perp."""
+
+
 def kaehler_form(u, v, phi) -> KForm:
     """Ambient 2-form (x, y) -> phi(u, v, x, y)."""
     f = as_kform(phi)
@@ -128,7 +132,8 @@ def su3_from_2frame(u, v, phi) -> SU3Structure:
         # generous mass threshold keeps normalization well conditioned
         heavy = mass > 1e-3
         if not np.all(heavy.any(-1)):
-            raise ValueError("failed to complete an adapted basis")
+            raise DegenerateFormError("failed to complete an adapted basis: phi(u, v, ., .) "
+                                      "is not a complex structure on span{u, v}-perp")
         i = heavy.argmax(-1)[..., None]
         f = np.take_along_axis(P, i[..., None], -1)[..., 0] / np.take_along_axis(mass, i, -1)
         b = (J @ f[..., None])[..., 0]

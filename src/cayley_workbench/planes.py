@@ -292,13 +292,17 @@ def _pair_contraction(Tm: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return (_outer(a, b).reshape(-1, 64) @ Tm).reshape(a.shape + (8,))
 
 
+#: rows per block of a batched kernel; bounds its (n, 64) temporaries
+CHUNK = 4096
+
+
 def calibration_values_batch(frames: np.ndarray, phi) -> np.ndarray:
     Tm = as_cayley(phi).tensor.reshape(64, 64)
     out = np.empty(len(frames))
-    for i in range(0, len(frames), 4096):  # 4096 planes bound the (n, 64) temporaries
-        F = frames[i:i + 4096]
+    for i in range(0, len(frames), CHUNK):
+        F = frames[i:i + CHUNK]
         S = _pair_contraction(Tm, F[:, :, 0], F[:, :, 1])
-        out[i:i + 4096] = np.einsum("nk,nkl,nl->n", F[:, :, 2], S, F[:, :, 3])
+        out[i:i + CHUNK] = np.einsum("nk,nkl,nl->n", F[:, :, 2], S, F[:, :, 3])
     return out
 
 

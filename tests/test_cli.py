@@ -321,6 +321,46 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert "restarts must be at least 1" in err
 
+    def test_subspace_needs_four_to_eight_vectors(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"vectors": FRAME_1234["vectors"][:3]}))
+        code, out, err = run_cli(capsys, "plane", "contains-cayley", "--subspace", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: a subspace needs 4 to 8 vectors, got 3" in err
+
+    def test_unwritable_report_is_input_error(self, capsys, tmp_path, frame_file):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "phi", "eval", "--frame", frame_file,
+                                 "--report", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: No such file" in err
+
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_decompose_needs_an_admissible_phi(self, capsys, form_file, degree):
+        path = form_file(blade(8, 1, 2, 3, 4))
+        code, out, err = run_cli(capsys, "decompose", "--degree", degree, "--phi", path)
+        assert code == 2 and out == ""
+        assert f"{path}: form fails the admissibility certificates" in err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_mirror_of_a_form_without_complex_structures(self, capsys, form_file,
+                                                         free_frame_file):
+        path = form_file(blade(8, 1, 2, 3, 4))
+        code, out, err = run_cli(capsys, "mirror", "build", "--frame", free_frame_file,
+                                 "--phi", path)
+        assert code == 2 and out == ""
+        assert f"{path}: failed to complete an adapted basis" in err
+
+    def test_internal_value_error_exits_3(self, capsys, monkeypatch):
+        def broken(chi, sigma):
+            raise ValueError("broken on purpose")
+
+        monkeypatch.setattr("cayley_workbench.topology.intersection_with_cay0", broken)
+        code, out, err = run_cli(capsys, "topology", "check", "--chi", "2", "--sigma", "0")
+        assert code == 3 and out == ""
+        assert "internal error: ValueError('broken on purpose')" in err
+        assert "Traceback (most recent call last)" in err
+
 
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "cayley_workbench.cli",

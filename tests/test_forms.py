@@ -1,13 +1,14 @@
 """Exterior algebra: worked examples against independent sign oracles, then laws."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_workbench.cayley import phi0
 from cayley_workbench.forms import (KForm, basis_vector, blade, evaluate, flat,
                                     gram_defect, hodge, inner, interior, mask_of,
                                     restrict, scalar_form, volume_form, wedge)
@@ -220,6 +221,40 @@ class TestInnerRestrict:
         assert gram_defect([e(1), e(2)]) == 0.0
 
 
+def loop_tensor(a):
+    """The dense tensor entry by entry over the k! orderings of every blade."""
+    dtype = complex if any(isinstance(c, complex) for c in a.terms.values()) else float
+    T = np.zeros((a.n,) * a.degree, dtype=dtype)
+    if a.degree == 0:
+        return T + a.terms.get(0, 0)
+    for idx, c in a.blades():
+        for perm in permutations(range(a.degree)):
+            T[tuple(idx[p] - 1 for p in perm)] = perm_sign(perm) * c
+    return T
+
+
+def rotated_phi0():
+    """phi0 under a Haar rotation: a float form on all 70 blades."""
+    Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(8, 8)))
+    R = np.einsum("ai,bj,ck,dl,ijkl->abcd", Q, Q, Q, Q, phi0().tensor)
+    return KForm.from_terms(8, 4, {c: float(R[tuple(i - 1 for i in c)])
+                                   for c in combinations(range(1, 9), 4)})
+
+
+TENSOR_FORMS = {
+    "phi0": lambda: phi0().form,
+    "rotated_phi0": rotated_phi0,
+    "fraction": lambda: KForm.from_terms(8, 3, {(1, 2, 3): Fraction(1, 3),
+                                                (2, 5, 8): Fraction(-7, 5)}),
+    "complex": lambda: KForm.from_terms(8, 2, {(1, 2): 1 + 2j, (1, 3): complex(2.0, -0.0),
+                                                (2, 3): complex(-2.0, -0.0), (4, 8): 3.0,
+                                                (5, 6): -1, (6, 7): Fraction(1, 7)}),
+    "degree0": lambda: scalar_form(8, Fraction(5, 2)),
+    "degree1": lambda: KForm.from_terms(8, 1, {(1,): 2, (4,): -3.5}),
+    "degree8": lambda: volume_form(8) * -3,
+}
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         a = KForm.from_terms(8, 4, {(1, 2, 3, 4): 1, (1, 3, 6, 8): -1})
@@ -234,6 +269,15 @@ class TestSerialization:
         T = a.to_tensor()
         assert T[0, 1] == 2 and T[1, 0] == -2
         assert np.allclose(T, -T.T)
+
+    @pytest.mark.parametrize("name", list(TENSOR_FORMS))
+    def test_tensor_table_matches_permutation_loop(self, name):
+        a = TENSOR_FORMS[name]()
+        T, want = a.to_tensor(), loop_tensor(a)
+        assert type(T) is type(want)  # degree 0 gives a scalar
+        T, want = np.asarray(T), np.asarray(want)
+        assert (T.dtype, T.shape) == (want.dtype, want.shape)
+        assert T.tobytes() == want.tobytes()  # signed zeros included
 
     def test_coefficient_signed_lookup(self):
         a = blade(8, 1, 2, 3, 4)

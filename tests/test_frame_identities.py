@@ -1,5 +1,7 @@
 """The (A, B) invariants and the three contraction identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate,
 from cayley_workbench.frame_identities import (REFERENCE_MAGNITUDES,
                                                batch_identity_lhs,
                                                batch_invariants,
+                                               batch_pair_values,
                                                double_contraction,
                                                extract_coefficients,
                                                identity_coefficients, identity_lhs,
@@ -158,6 +161,70 @@ class TestResiduals:
         rng = np.random.default_rng(9)
         U, V = rng.normal(size=(2, 10, 8))
         assert pair_coords(U, V).shape == (10, 28)
+
+
+def gather_pair_coords(U, V):
+    """u_a v_b - u_b v_a as four strided gathers: the oracle for ``pair_coords``."""
+    a, b = np.triu_indices(8, 1)
+    return U[:, a] * V[:, b] - U[:, b] * V[:, a]
+
+
+#: rows on either side of the block edges of the chunked kernels
+EDGE_ROWS = (0, 1, 4094, 4095, 4096, 4097, 8191, 8192, 8193, 8999)
+
+
+class TestPairKernels:
+    def test_pair_coords_match_gathers_bit_for_bit(self):
+        U, V = np.random.default_rng(11).normal(size=(2, 5000, 8))
+        assert pair_coords(U, V).tobytes() == gather_pair_coords(U, V).tobytes()
+
+    def test_pair_coords_exact_on_integer_frames(self):
+        U, V = np.random.default_rng(12).integers(-2, 3, size=(2, 5000, 8)).astype(float)
+        assert np.array_equal(pair_coords(U, V), gather_pair_coords(U, V))
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_chunked_values_are_exact_on_integer_frames(self, n):
+        # entries -2..2 keep every product and sum an integer far below 2^53
+        F = np.random.default_rng(n).integers(-2, 3, size=(n, 4, 8)).astype(float)
+        values = batch_pair_values(F, P0, (0, 1, 2, 3))
+        assert [v.shape for v in values] == [(n,)] * 5
+        A, B, *lhs = values
+        u, v, y, w = (F[:, k].astype(np.int64) for k in range(4))
+        dot = lambda a, b: np.einsum("ni,ni->n", a, b)
+        assert np.array_equal(A, dot(u, y) * dot(v, w) - dot(u, w) * dot(v, y))
+        T = P0.tensor.astype(np.int64)
+        assert np.array_equal(B, np.einsum("ijkl,ni,nj,nk,nl->n", T, u, v, y, w))
+        for i, L in enumerate(lhs, 1):
+            c_a, c_b, _ = identity_coefficients(P0, i)
+            assert np.array_equal(L, c_a * A + c_b * B)
+        for r in (r for r in EDGE_ROWS if r < n):
+            frame = tuple(F[r])
+            inv = invariants(frame, P0)
+            assert (A[r], B[r]) == (inv.A, inv.B)
+            assert [L[r] for L in lhs] == [identity_lhs(i, frame, P0) for i in (1, 2, 3)]
+
+    def test_strided_view_gives_the_bytes_of_its_copy(self):
+        X = np.random.default_rng(13).normal(size=(5000, 8, 4))
+        view = np.swapaxes(X, 1, 2)
+        got = batch_pair_values(view, P0, (0, 1, 2, 3))
+        want = batch_pair_values(np.ascontiguousarray(view), P0, (0, 1, 2, 3))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_invariants_and_lhs_are_thin_callers(self):
+        F = np.random.default_rng(14).normal(size=(100, 4, 8))
+        A, B = batch_pair_values(F, P0, (0,))
+        assert all(np.array_equal(g, w) for g, w in zip(batch_invariants(F, P0), (A, B)))
+        assert np.array_equal(batch_identity_lhs(2, F, P0), batch_pair_values(F, P0, (2,))[1])
+        # a product over more pair matrices may round a column differently, in the last bit
+        A4, B4, _, L2, _ = batch_pair_values(F, P0, (0, 1, 2, 3))
+        assert np.array_equal(A4, A)
+        assert np.allclose(B4, B, rtol=1e-13, atol=1e-13)
+        assert np.allclose(L2, batch_identity_lhs(2, F, P0), rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 8, 4), (3, 4), (3, 4, 7)])
+    def test_rejects_other_layouts(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            batch_pair_values(np.zeros(shape), P0, (0,))
 
 
 #: a dense integer 4-form on all 70 blades, neither self-dual nor Cayley
