@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -333,8 +334,8 @@ def derivation_action(X, a: KForm) -> KForm:
 def stabilizer_dimension(a: KForm) -> int:
     """dim of the annihilator of ``a`` inside so(8) under the derivation action.
 
-    Exact rank over the rationals when all coefficients are exact
-    (int/Fraction); SVD-based numerical rank otherwise.
+    Exact rank over the rationals, in integer arithmetic, when all
+    coefficients are exact (int/Fraction); SVD-based numerical rank otherwise.
     """
     masks = blade_masks(8, a.degree)
     col_of = {m: c for c, m in enumerate(masks)}
@@ -347,7 +348,7 @@ def stabilizer_dimension(a: KForm) -> int:
             row[col_of[m]] = c
         rows.append(row)
     if exact:
-        rank = _exact_rank([[Fraction(c) for c in row] for row in rows])
+        rank = _exact_rank(rows)
     else:
         M = np.array(rows, dtype=float)
         s = np.linalg.svd(M, compute_uv=False)
@@ -355,23 +356,44 @@ def stabilizer_dimension(a: KForm) -> int:
     return 28 - rank
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
+def _primitive(ints: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries; a zero row stays zero."""
+    g = gcd(*ints)
+    return ints if g <= 1 else [x // g for x in ints]
+
+
+def _integer_row(row: list) -> list[int]:
+    """An int/Fraction row times the lcm of its denominators, made primitive."""
+    scale = lcm(*(c.denominator for c in row))
+    return _primitive([c.numerator * (scale // c.denominator) for c in row])
+
+
+def _exact_rank(rows: list[list]) -> int:
+    """Rank over the rationals of int/Fraction rows, in integer arithmetic only.
+
+    Fraction-free elimination: every row is scaled to a primitive integer
+    row, each pivot is the smallest nonzero entry of its column, and a row
+    is reduced by an integer combination with the pivot row and divided by
+    the gcd of its entries again, so the entries stay small.  Rows with a
+    zero in the pivot column are left as they are.
+    """
+    rows = [_integer_row(r) for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(rows[0]) if rows else 0):
+        live = [i for i in range(rank, len(rows)) if rows[i][c]]
+        if not live:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        r += 1
+        pivot = min(live, key=lambda i: abs(rows[i][c]))
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr, p = rows[rank], rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][c]
+            if a:
+                g = gcd(p, a)
+                s, t = p // g, a // g
+                rows[i] = _primitive([s * x - t * y for x, y in zip(rows[i], pr)])
         rank += 1
-        if r == len(rows):
+        if rank == len(rows):
             break
     return rank
 

@@ -51,18 +51,28 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _parity_below(b: int) -> int:
+    """Mask whose bit i is the parity of the bits of ``b`` below bit i.
+
+    A prefix XOR of ``b << 1``, exact for i < MAX_DIM.  Memoised on one
+    mask, so the memo holds at most 2^n entries (256 on R^8).
+    """
+    x = b << 1
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    return x
+
+
 def merge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation (A..., B...) of two disjoint blades.
 
-    Counts inversions: pairs (i in A, j in B) with i > j.
+    Counts inversions: pairs (i in A, j in B) with i > j.  Their parity is
+    the sum over i in A of the parity of the bits of B below i.
     """
-    sign = 1
-    while b:
-        low = b & -b
-        if (a >> low.bit_length()).bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
+    return -1 if (a & _parity_below(b)).bit_count() & 1 else 1
 
 
 @dataclass(frozen=True)

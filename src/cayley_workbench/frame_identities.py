@@ -30,8 +30,6 @@ from .planes import CHUNK, _outer, _pair_contraction
 #: |c_A|, |c_B| for the three identities (the proven coefficients must match)
 REFERENCE_MAGNITUDES = {1: (3.0, 2.0), 2: (4.0, 2.0), 3: (6.0, 7.0)}
 
-_FULL = (1 << 8) - 1
-
 
 @dataclass(frozen=True)
 class FrameInvariants:
@@ -54,21 +52,26 @@ def invariants(frame, phi) -> FrameInvariants:
 
 
 def identity_lhs(i: int, frame, phi):
-    """Volume coefficient of the i-th contraction 8-form on a raw frame."""
+    """Volume coefficient of the i-th contraction 8-form on a raw frame.
+
+    The 8-form is never built: with top(a ^ b) = (-1)^deg b <a, *b>, each
+    left side is one inner product, associated so every wedge stays small.
+    int and Fraction frames give exact values; a zero comes back as int 0.
+    """
     u, v, y, w = frame
     f = as_kform(phi)
-    if i == 1:
-        total = wedge(wedge(double_contraction(u, v, f),
-                            wedge(flat(y, 8), flat(w, 8))), f)
-    elif i == 2:
-        total = wedge(wedge(flat(u, 8), flat(v, 8)),
-                      wedge(interior(y, f), interior(w, f)))
-    elif i == 3:
-        total = wedge(wedge(double_contraction(u, v, f),
-                            double_contraction(y, w, f)), f)
+    if i == 1:  # iota_u iota_v Phi ^ y ^ w ^ Phi
+        value = inner(double_contraction(u, v, f),
+                      hodge(wedge(flat(y, 8), wedge(flat(w, 8), f))))
+    elif i == 2:  # u ^ v ^ iota_y Phi ^ iota_w Phi
+        value = -inner(wedge(flat(u, 8), wedge(flat(v, 8), interior(y, f))),
+                       hodge(interior(w, f)))
+    elif i == 3:  # iota_u iota_v Phi ^ iota_y iota_w Phi ^ Phi
+        value = inner(double_contraction(u, v, f),
+                      hodge(wedge(double_contraction(y, w, f), f)))
     else:
         raise ValueError("identity index must be 1, 2 or 3")
-    return total.terms.get(_FULL, 0)
+    return value or 0  # a zero is int 0, never 0.0 or -0.0
 
 
 def identity_residual(i: int, frame, phi, coeffs) -> float:
@@ -175,17 +178,21 @@ def sample_frames(samples: int, rng: np.random.Generator,
     """(N, 4, 8) i.i.d. standard Gaussian frames, optionally projected to B = 0.
 
     The projection moves only w, along the gradient of B in w, so the
-    frames stay full-rank Gaussian in the remaining directions.
+    frames stay full-rank Gaussian in the remaining directions.  It runs
+    in blocks of ``CHUNK`` frames, so no (N, 64) temporary is held.
     """
     if cayley_free and phi is None:
         raise ValueError("cayley_free sampling needs phi")
     F = rng.normal(size=(samples, 4, 8))
     if cayley_free:
-        N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), F[:, 0], F[:, 1])
-        G = np.einsum("ni,nij->nj", F[:, 2], N)  # B = <G, w> with G = Phi(u, v, y, .)
-        gn = np.einsum("ni,ni->n", G, G)
-        gn[gn == 0] = 1.0
-        F[:, 3] -= (np.einsum("ni,ni->n", G, F[:, 3]) / gn)[:, None] * G
+        Tm = as_cayley(phi).tensor.reshape(64, 64)
+        for s in range(0, samples, CHUNK):
+            block = F[s:s + CHUNK]  # a view: w is projected in place
+            N = _pair_contraction(Tm, block[:, 0], block[:, 1])
+            G = np.einsum("ni,nij->nj", block[:, 2], N)  # B = <G, w> with G = Phi(u, v, y, .)
+            gn = np.einsum("ni,ni->n", G, G)
+            gn[gn == 0] = 1.0
+            block[:, 3] -= (np.einsum("ni,ni->n", G, block[:, 3]) / gn)[:, None] * G
     return F
 
 

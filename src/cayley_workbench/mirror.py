@@ -51,6 +51,12 @@ class DegenerateFormError(ValueError):
     """Raised when phi(u, v, ., .) puts no complex structure on span{u, v}-perp."""
 
 
+_NO_ADAPTED_BASIS = ("failed to complete an adapted basis: phi(u, v, ., .) "
+                     "is not a complex structure on span{u, v}-perp")
+#: generous mass threshold on f and J f keeps normalization well conditioned
+_MIN_MASS = 1e-3
+
+
 def kaehler_form(u, v, phi) -> KForm:
     """Ambient 2-form (x, y) -> phi(u, v, x, y)."""
     f = as_kform(phi)
@@ -129,15 +135,16 @@ def su3_from_2frame(u, v, phi) -> SU3Structure:
     cols = []
     for _ in range(3):
         mass = np.linalg.norm(P, axis=-2)
-        # generous mass threshold keeps normalization well conditioned
-        heavy = mass > 1e-3
+        heavy = mass > _MIN_MASS
         if not np.all(heavy.any(-1)):
-            raise DegenerateFormError("failed to complete an adapted basis: phi(u, v, ., .) "
-                                      "is not a complex structure on span{u, v}-perp")
+            raise DegenerateFormError(_NO_ADAPTED_BASIS)
         i = heavy.argmax(-1)[..., None]
         f = np.take_along_axis(P, i[..., None], -1)[..., 0] / np.take_along_axis(mass, i, -1)
         b = (J @ f[..., None])[..., 0]
-        b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+        bn = np.linalg.norm(b, axis=-1, keepdims=True)
+        if not np.all(bn > _MIN_MASS):  # J kills f: checked before dividing by |J f|
+            raise DegenerateFormError(_NO_ADAPTED_BASIS)
+        b = b / bn
         cols += [f, b]
         P = P - _outer(f, f) - _outer(b, b)
     W = np.stack(cols, axis=-1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 #: Poincare polynomial coefficients of the oriented Grassmannian of 4-planes in R^8
 _POINCARE = {0: 1, 4: 3, 8: 4, 12: 3, 16: 1}
@@ -162,19 +163,26 @@ def cay0_dual() -> CohClass4:
 #: (a, b) with pairing(cay0_dual(), gauss_class(chi, sigma)) = a chi + b sigma,
 #: since gauss_class is linear and the pairing bilinear
 _CAY0_GAUSS = tuple(pairing(cay0_dual(), gauss_class(*e)) for e in ((1, 0), (0, 1)))
+#: the same pairing as integer numerators over one common denominator
+_CAY0_DEN = lcm(*(c.denominator for c in _CAY0_GAUSS))
+_CAY0_NUM = tuple(c.numerator * (_CAY0_DEN // c.denominator) for c in _CAY0_GAUSS)
 
 
 def intersection_with_cay0(chi: int, sigma: int) -> int:
     """Intersection number of the Gauss class with the Cayley-free locus.
 
     Composes cay0_dual, gauss_class and the pairing; the chain collapses
-    to the Euler characteristic exactly.
+    to the Euler characteristic exactly.  The composition is folded once,
+    at import, into integer numerators over a common denominator, so a
+    call is one integer ``divmod``; a nonzero remainder raises
+    ``ArithmeticError``.
     """
-    a, b = _CAY0_GAUSS
-    value = a * chi + b * sigma
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral intersection number {value}")
-    return int(value)
+    a, b = _CAY0_NUM
+    num = a * chi + b * sigma
+    value, rem = divmod(num, _CAY0_DEN)
+    if rem:
+        raise ArithmeticError(f"non-integral intersection number {Fraction(num, _CAY0_DEN)}")
+    return value
 
 
 def betti_g48(k: int) -> int:

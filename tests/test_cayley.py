@@ -1,13 +1,16 @@
 """The Cayley form, the convention dictionary, and admissibility certificates."""
 
+import time
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
 
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import (BestMismatch, CayleyForm, ConventionMap,
-                                     admissibility_report, derivation_action,
+                                     _exact_rank, admissibility_report, derivation_action,
                                      orbit_distance, orbit_search, phi0,
                                      phi_octonionic, reconcile, so8_basis_element,
                                      stabilizer_dimension)
@@ -219,6 +222,51 @@ class TestAdmissibility:
         f = phi0().form
         fl = KForm(8, 4, {m: float(c) for m, c in f.terms.items()})
         assert stabilizer_dimension(fl) == 21
+
+
+def _random_exact_form(rng, degree, terms, fractions=False):
+    masks = blade_masks(8, degree)
+    chosen = rng.choice(len(masks), size=min(terms, len(masks)), replace=False)
+    coeffs = {masks[k]: int(rng.integers(1, 6)) * int(rng.choice([-1, 1])) for k in chosen}
+    if fractions:
+        coeffs = {m: Fraction(c, int(rng.integers(1, 8))) for m, c in coeffs.items()}
+    return KForm(8, degree, coeffs)
+
+
+def _float_copy(f):
+    return KForm(8, f.degree, {m: float(c) for m, c in f.terms.items()})
+
+
+class TestExactRank:
+    def test_fraction_form_has_the_stabilizer_of_its_integer_multiple(self):
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            f = _random_exact_form(rng, 2 + k % 3, int(rng.integers(1, 12)), fractions=True)
+            scale = lcm(*(c.denominator for c in f.terms.values()))
+            multiple = KForm(8, f.degree, {m: int(c * scale) for m, c in f.terms.items()})
+            assert stabilizer_dimension(f) == stabilizer_dimension(multiple)
+        assert stabilizer_dimension(KForm(8, 4, {m: Fraction(c, 3) for m, c in
+                                                 phi0().form.terms.items()})) == 21
+
+    def test_random_integer_forms_agree_with_the_svd_rank(self):
+        rng = np.random.default_rng(32)
+        for k in range(15):
+            f = _random_exact_form(rng, 2 + k % 3, int(rng.integers(1, 16)))
+            assert stabilizer_dimension(f) == stabilizer_dimension(_float_copy(f))
+
+    def test_dense_form_with_large_coefficients(self):
+        rng = np.random.default_rng(33)
+        dense = KForm(8, 4, {m: int(rng.integers(-10**6, 10**6 + 1)) for m in blade_masks(8, 4)})
+        big_phi0 = 999_983 * phi0().form
+        start = time.process_time()
+        assert stabilizer_dimension(big_phi0) == 21
+        assert stabilizer_dimension(dense) == stabilizer_dimension(_float_copy(dense))
+        assert time.process_time() - start < 2.0  # ~30 ms measured
+
+    def test_rank_of_fraction_rows(self):
+        assert _exact_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+        assert _exact_rank([[0, 0], [0, Fraction(-1, 7)], [5, 0]]) == 2
+        assert _exact_rank([[0, 0, 0]]) == 0
 
 
 class TestDerivationAction:

@@ -342,7 +342,7 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert f"{path}: form fails the admissibility certificates" in err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mirror_of_a_form_without_complex_structures(self, capsys, form_file,
                                                          free_frame_file):
         path = form_file(blade(8, 1, 2, 3, 4))

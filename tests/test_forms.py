@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cayley_workbench.cayley import phi0
 from cayley_workbench.forms import (KForm, basis_vector, blade, evaluate, flat,
-                                    gram_defect, hodge, inner, interior, mask_of,
-                                    restrict, scalar_form, volume_form, wedge)
+                                    gram_defect, hodge, indices_of, inner, interior,
+                                    mask_of, merge_sign, restrict, scalar_form,
+                                    volume_form, wedge)
 
 
 def perm_sign(seq):
@@ -56,6 +57,15 @@ class TestWedge:
                 else:
                     expected = perm_sign(a + b)
                     assert w == expected * blade(8, *sorted(a + b))
+
+    def test_merge_sign_matches_oracle(self):
+        # every disjoint pair of masks on R^8, and random ones up to R^16
+        pairs = [(a, b) for a in range(1 << 8) for b in range(1 << 8) if not a & b]
+        rng = np.random.default_rng(5)
+        for a, b in rng.integers(0, 1 << 16, size=(2000, 2)):
+            pairs.append((int(a), int(b) & ~int(a)))
+        for a, b in pairs:
+            assert merge_sign(a, b) == perm_sign(indices_of(a) + indices_of(b))
 
     def test_graded_anticommutativity_odd_degrees(self):
         a, b = blade(8, 1, 2, 3), blade(8, 4, 5, 6)

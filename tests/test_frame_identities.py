@@ -1,14 +1,16 @@
 """The (A, B) invariants and the three contraction identities."""
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cayley_workbench.cayley import as_kform, phi0, phi_octonionic
-from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate,
-                                    form_to_coeffs, hodge, inner, lambda2_matrix,
-                                    wedge)
+from cayley_workbench.cayley import as_cayley, as_kform, phi0, phi_octonionic
+from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate, flat,
+                                    form_to_coeffs, hodge, inner, interior,
+                                    lambda2_matrix, wedge)
 from cayley_workbench.frame_identities import (REFERENCE_MAGNITUDES,
                                                batch_identity_lhs,
                                                batch_invariants,
@@ -19,6 +21,7 @@ from cayley_workbench.frame_identities import (REFERENCE_MAGNITUDES,
                                                identity_residual, invariants,
                                                pair_coords, pair_matrix,
                                                sample_frames)
+from cayley_workbench.planes import CHUNK, _pair_contraction
 from cayley_workbench.representations import wedge_star_matrix
 
 P0 = phi0()
@@ -127,6 +130,19 @@ class TestExtraction:
         F = sample_frames(500, rng, cayley_free=True, phi=P0)
         _, B = batch_invariants(F, P0)
         assert float(np.max(np.abs(B))) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocked_cayley_free_sampler_matches_one_product(self, seed):
+        # 20,000 frames span five blocks; each block's product rounds as the whole one did
+        F = sample_frames(20000, np.random.default_rng(seed), cayley_free=True, phi=P0)
+        G = np.random.default_rng(seed).normal(size=(20000, 4, 8))
+        N = _pair_contraction(as_cayley(P0).tensor.reshape(64, 64), G[:, 0], G[:, 1])
+        grad = np.einsum("ni,nij->nj", G[:, 2], N)
+        gn = np.einsum("ni,ni->n", grad, grad)
+        gn[gn == 0] = 1.0
+        G[:, 3] -= (np.einsum("ni,ni->n", grad, G[:, 3]) / gn)[:, None] * grad
+        assert 20000 > 4 * CHUNK
+        assert F.tobytes() == G.tobytes()
 
     def test_cayley_free_sampler_needs_phi(self):
         with pytest.raises(ValueError, match="cayley_free sampling needs phi"):
@@ -281,3 +297,63 @@ class TestPairMatrices:
             ref[:, col] = form_to_coeffs(hodge(wedge(KForm(8, 2, {m: 1}), DENSE)), masks)
         assert np.array_equal(wedge_star_matrix(DENSE), lambda2_matrix(hodge(DENSE)))
         assert wedge_star_matrix(DENSE).tobytes() == ref.tobytes()
+
+
+def exact_pair_value(phi, i, frame):
+    """puv^T M_i pyw in exact arithmetic, from the integer entries of pair_matrix."""
+    M = pair_matrix(phi, i)
+    assert np.array_equal(M, np.rint(M))
+    u, v, y, w = frame
+    puv = [u[a] * v[b] - u[b] * v[a] for a, b in PAIRS]
+    pyw = [y[a] * w[b] - y[b] * w[a] for a, b in PAIRS]
+    return sum(puv[p] * int(M[p, q]) * pyw[q] for p in range(28) for q in range(28))
+
+
+def eight_form_lhs(i, frame, phi):
+    """The vol coefficient of the full 8-form of identity i, wedged term by term."""
+    u, v, y, w = frame
+    f = as_kform(phi)
+    if i == 1:
+        total = wedge(wedge(double_contraction(u, v, f), wedge(flat(y, 8), flat(w, 8))), f)
+    elif i == 2:
+        total = wedge(wedge(flat(u, 8), flat(v, 8)), wedge(interior(y, f), interior(w, f)))
+    else:
+        total = wedge(wedge(double_contraction(u, v, f), double_contraction(y, w, f)), f)
+    return total.terms.get((1 << 8) - 1, 0)
+
+
+class TestExactIdentityLhs:
+    @pytest.mark.parametrize("phi", [P0, phi_octonionic(), DENSE],
+                             ids=["phi0", "octonionic", "dense"])
+    def test_integer_frames_give_the_exact_bilinear_value(self, phi):
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            frame = [tuple(int(x) for x in row) for row in rng.integers(-3, 4, size=(4, 8))]
+            for i in (1, 2, 3):
+                got = identity_lhs(i, frame, phi)
+                assert type(got) is int
+                assert got == exact_pair_value(phi, i, frame) == eight_form_lhs(i, frame, phi)
+
+    def test_float_frames_match_the_eight_form_to_rounding(self):
+        # the inner product sums the same products in another order
+        for frame in np.random.default_rng(23).normal(size=(20, 4, 8)):
+            for i in (1, 2, 3):
+                want = eight_form_lhs(i, tuple(frame), P0)
+                assert abs(identity_lhs(i, tuple(frame), P0) - want) <= 1e-13 * max(1, abs(want))
+
+    def test_fraction_frames_give_fractions(self):
+        rng = np.random.default_rng(22)
+        frame = [tuple(Fraction(int(n), int(d)) for n, d in zip(row, den))
+                 for row, den in zip(rng.integers(-4, 5, size=(4, 8)),
+                                     rng.integers(1, 6, size=(4, 8)))]
+        for i in (1, 2, 3):
+            got = identity_lhs(i, frame, P0)
+            assert type(got) is Fraction and got != 0
+            assert got == exact_pair_value(P0, i, frame)
+
+    def test_float_zero_has_no_minus_sign(self):
+        # identity 2 negates an inner product that cancels to +0.0 on this frame
+        s = tuple(float(a + b) for a, b in zip(e(1), e(2)))
+        frame = tuple(tuple(map(float, x)) for x in (e(1), e(2))) + (s, s)
+        got = identity_lhs(2, frame, P0)
+        assert got == 0 and math.copysign(1.0, got) == 1.0

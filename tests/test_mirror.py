@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cayley_workbench.cayley import phi0
-from cayley_workbench.forms import KForm, basis_vector, restrict, wedge
-from cayley_workbench.mirror import (NotCayleyFreeError, compose_acs, kaehler_form,
-                                     mirror_pair, phi_expansion, su3_from_2frame)
+from cayley_workbench.forms import KForm, basis_vector, blade, restrict, wedge
+from cayley_workbench.mirror import (DegenerateFormError, NotCayleyFreeError,
+                                     compose_acs, kaehler_form, mirror_pair,
+                                     phi_expansion, su3_from_2frame)
 from cayley_workbench.planes import ACS, acs_from_2frame
 from cayley_workbench.representations import spin7_lie_algebra
 from cayley_workbench.reporting import canonical_json
@@ -66,6 +67,12 @@ class TestSU3Construction:
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
             su3_from_2frame(e(1), e(1), P0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_form_without_complex_structure_raises_before_dividing(self):
+        # dx1234 pairs e3 with e4 and kills e5: |J e5| = 0 is caught, not divided by
+        with pytest.raises(DegenerateFormError, match="failed to complete an adapted basis"):
+            su3_from_2frame(e(1), e(2), blade(8, 1, 2, 3, 4))
 
 
 class TestStacks:

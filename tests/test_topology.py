@@ -93,6 +93,19 @@ class TestCay0:
         assert intersection_with_cay0(0, 4) == 0
         assert intersection_with_cay0(-4, 0) == -4
 
+    def test_intersection_is_an_exact_int_for_huge_inputs(self):
+        for chi in (10**30, -10**30, 10**30 - 1, 7, 0):
+            for sigma in (10**30, -10**30 + 3, 1, 0):
+                got = intersection_with_cay0(chi, sigma)
+                assert type(got) is int and got == chi
+
+    def test_non_integral_intersection_raises(self, monkeypatch):
+        monkeypatch.setattr("cayley_workbench.topology._CAY0_NUM", (1, 1))
+        monkeypatch.setattr("cayley_workbench.topology._CAY0_DEN", 2)
+        assert intersection_with_cay0(1, 1) == 1
+        with pytest.raises(ArithmeticError, match="non-integral intersection number 1/2"):
+            intersection_with_cay0(1, 0)
+
     def test_intersection_identity_small_grid(self):
         for chi in range(-20, 21):
             for sigma in range(-20, 21):
