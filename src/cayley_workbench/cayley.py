@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import octonions
-from .forms import KForm, _inversion_sign, blade_masks, hodge, indices_of, inner
+from .forms import KForm, _inversion_sign, _lambda2_block, blade_masks, hodge, indices_of, inner
 
 # 14 blades of the standard coordinate Cayley form, with signs.
 _PHI0_TERMS = {
@@ -117,6 +117,12 @@ class CayleyForm:
     @cached_property
     def tensor(self) -> np.ndarray:
         return self.form.to_tensor()
+
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """The Lambda^2 block tensor[a, b, c, d] over the pairs a < b, c < d:
+        phi(u, v, y, w) = (u ^ v)^T pair_matrix (y ^ w) in pair coordinates."""
+        return _lambda2_block(self.tensor)
 
     @cached_property
     def orbit_rotation(self) -> np.ndarray | None:

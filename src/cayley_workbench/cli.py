@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -98,8 +99,20 @@ def _config(args, fields) -> dict:
 # -- command handlers ----------------------------------------------------------
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as ex:
+        raise InputError(f"{path}: {ex.strerror}") from ex
+
+
 def cmd_verify_all(args):
-    results = verify.run_all(seed=args.seed)
+    # opened before the run, so that an unwritable path fails at once
+    with _open_output(args.timings) if args.timings else nullcontext() as timings:
+        results = verify.run_all(seed=args.seed)
+        if timings is not None:
+            timings.write(canonical_json({
+                "seed": args.seed, "criteria": [r.timings_json_dict() for r in results]}))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] criterion {r.number}: {r.name} ({r.elapsed:.1f}s)",
@@ -369,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every acceptance criterion")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--timings", metavar="FILE",
+                   help="also write each criterion's wall time, budget and search "
+                        "diagnostics here (JSON); the report stays the same")
     p.set_defaults(func=cmd_verify_all)
 
     phi_parser = sub.add_parser("phi", help="evaluate / check / reconcile Cayley forms")

@@ -399,8 +399,13 @@ def lambda2_matrix(a: KForm) -> np.ndarray:
     """M[p, q] = a(e_p1, e_p2, e_q1, e_q2) of a 4-form, p, q over ``blade_masks(n, 2)``."""
     if a.degree != 4:
         raise ValueError(f"lambda2_matrix needs a 4-form, got degree {a.degree}")
-    i, j = np.triu_indices(a.n, 1)
-    return a.to_tensor()[i[:, None], j[:, None], i, j]
+    return _lambda2_block(a.to_tensor())
+
+
+def _lambda2_block(T: np.ndarray) -> np.ndarray:
+    """M[p, q] = T[p1, p2, q1, q2] of a dense 4-tensor, p, q over the pairs p1 < p2."""
+    i, j = np.triu_indices(len(T), 1)
+    return T[i[:, None], j[:, None], i, j]
 
 
 def form_to_coeffs(a: KForm, masks: Sequence[int]) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cayley import as_cayley, as_kform
 from .forms import KForm, evaluate, flat, hodge, inner, interior, lambda2_matrix, wedge
-from .planes import CHUNK, _outer, _pair_contraction
+from .planes import CHUNK, _pair_contraction, _pair_coordinates, _pair_forms
 
 #: |c_A|, |c_B| for the three identities (the proven coefficients must match)
 REFERENCE_MAGNITUDES = {1: (3.0, 2.0), 2: (4.0, 2.0), 3: (6.0, 7.0)}
@@ -84,25 +84,13 @@ def identity_residual(i: int, frame, phi, coeffs) -> float:
 # -- pair-coordinate bulk machinery -------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _pair_basis() -> np.ndarray:
-    """64 x 28 map from the flattened outer product u v^T to the pair
-    coordinates of u ^ v: +1 at (8a + b, p) and -1 at (8b + a, p) for the
-    p-th pair a < b."""
-    a, b = np.triu_indices(8, 1)
-    E = np.zeros((64, 28))
-    E[8 * a + b, np.arange(28)] = 1.0
-    E[8 * b + a, np.arange(28)] = -1.0
-    return E
-
-
 def pair_coords(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(N, 28) coordinates u_a v_b - u_b v_a of u ^ v over the a < b pair basis.
 
-    With exact +-1 weights each entry rounds once, as the difference itself
-    does; an exact zero comes out as +0.
+    Each entry is that difference of two products, rounded as written; an
+    exact zero comes out as +0.
     """
-    return _outer(U, V).reshape(len(U), 64) @ _pair_basis()
+    return _pair_coordinates(np.stack([np.transpose(U), np.transpose(V)]))[0].T
 
 
 @lru_cache(maxsize=8)
@@ -143,25 +131,18 @@ def batch_pair_values(frames: np.ndarray, phi, indices) -> tuple:
     """A and, for each i in ``indices``, the values of pair matrix i over a stack
     of frames (N, 4, 8) with rows u, v, y, w.
 
-    Blocks of ``CHUNK`` frames go through one product with the stacked pair
-    matrices [M_i1 | M_i2 | ...]; each value is then a row dot with the pair
-    coordinates of y ^ w.  The BLAS product may round a column differently
-    for a different set of indices, by an ulp or so.
+    Every value is (u ^ v)^T M (y ^ w) for one M of the stack [I; M_i1; M_i2; ...],
+    so A is the identity's value; ``planes._pair_forms`` evaluates the whole stack
+    with one matrix product per block of frames.  Integer frames give exact values
+    while every sum stays below 2^53.  The BLAS product may round a value of M_i
+    differently for a different set of indices, by an ulp or so.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):
         raise ValueError(f"frames must be an (N, 4, 8) stack with rows u, v, y, w, "
                          f"got shape {frames.shape}")
-    k = len(indices)
-    M = np.hstack([pair_matrix(phi, i) for i in indices] or [np.empty((28, 0))])
-    out = np.empty((1 + k, len(frames)))
-    for s in range(0, len(frames), CHUNK):
-        F = frames[s:s + CHUNK]
-        puv = pair_coords(F[:, 0], F[:, 1])
-        pyw = pair_coords(F[:, 2], F[:, 3])
-        out[0, s:s + CHUNK] = np.einsum("np,np->n", puv, pyw)
-        out[1:, s:s + CHUNK] = np.einsum("nkq,nq->kn", (puv @ M).reshape(len(F), k, 28), pyw)
-    return tuple(out)
+    M = np.vstack([np.eye(28)] + [pair_matrix(phi, i) for i in indices])
+    return tuple(_pair_forms(frames, M))
 
 
 def batch_invariants(frames: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,10 @@ for forms in phi0's orbit), and the stacked Riemannian gradient ascent
 searches and, for ``cayley.orbit_search``, the orbit descent over SO(8).
 
 The hot numeric paths work on the dense antisymmetric coefficient tensor
-of the form; exact integer frames keep an exact evaluation path so that
-statements like "this frame calibrates to 0" hold on the nose.
+of the form, or on its Lambda^2 block over the 28 pair coordinates, which
+one kernel evaluates for calibration values and the frame identities; exact
+integer frames keep an exact evaluation path so that statements like "this
+frame calibrates to 0" hold on the nose.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def acs_from_2frame(u, v, phi) -> ACS:
 
 def calibration_value(plane: Plane4, phi) -> float:
     """phi evaluated on an orthonormal oriented frame of the plane."""
-    return float(calibration_values_batch(plane.basis[None], phi)[0])
+    return float(_pair_values(plane.basis.T[:, :, None], as_cayley(phi).pair_matrix)[0, 0])
 
 
 def is_cayley(plane: Plane4, phi, tol: float = DEFAULT_CAYLEY_TOL) -> bool:
@@ -275,6 +277,12 @@ def random_plane(seed: int = 0) -> Plane4:
     return Plane4.random(np.random.default_rng(seed))
 
 
+#: rows per block of a batched kernel; bounds its (n, 64) and QR temporaries
+CHUNK = 4096
+#: frames per block of the pair-coordinate kernel; keeps its temporaries in cache
+PAIR_BLOCK = 256
+
+
 def _orthonormal_stack(A: np.ndarray) -> np.ndarray:
     """Q factors of a stack of frames, signed so that each R has a positive diagonal."""
     q, r = np.linalg.qr(A)
@@ -283,8 +291,16 @@ def _orthonormal_stack(A: np.ndarray) -> np.ndarray:
 
 
 def random_planes_batch(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of n Haar-random oriented orthonormal 8x4 frames."""
-    return _orthonormal_stack(rng.normal(size=(n, 8, 4)))
+    """Stack of n Haar-random oriented orthonormal 8x4 frames.
+
+    The Gaussian draw is orthonormalised in place, ``CHUNK`` frames per QR, so
+    the QR's temporaries stay a few MB whatever n is; each frame's factor is
+    the one a single stacked QR gives, bit for bit.
+    """
+    A = rng.normal(size=(n, 8, 4))
+    for s in range(0, n, CHUNK):
+        A[s:s + CHUNK] = _orthonormal_stack(A[s:s + CHUNK])
+    return A
 
 
 def _pair_contraction(Tm: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,18 +308,47 @@ def _pair_contraction(Tm: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return (_outer(a, b).reshape(-1, 64) @ Tm).reshape(a.shape + (8,))
 
 
-#: rows per block of a batched kernel; bounds its (n, 64) temporaries
-CHUNK = 4096
+def _pair_rows(m: int) -> np.ndarray:
+    """Rows of a component-major (16m, n) block, row 8c + x holding coordinate x of
+    vector c, to gather for the vector pairs (x, z) = (0, 1), (2, 3), ...: the
+    factors (x_a, x_b) and (z_b, z_a) of each pair a < b, laid out (factor, term, m, 28)."""
+    a, b = np.triu_indices(8, 1)
+    x = 16 * np.arange(m)[:, None]  # the row of coordinate 0 of each pair's x
+    return np.stack([np.stack([x + a, x + b]), np.stack([x + 8 + b, x + 8 + a])]).ravel()
+
+
+_PAIR_ROWS = {m: _pair_rows(m) for m in (1, 2)}
+
+
+def _pair_coordinates(X: np.ndarray) -> np.ndarray:
+    """(m, 28, n) coordinates x_a z_b - x_b z_a, a < b, of the vector pairs (0, 1),
+    (2, 3), ... of a component-major block X of shape (2m, 8, n), m = 1 or 2."""
+    m, n = len(X) // 2, X.shape[-1]
+    G = X.reshape(16 * m, n).take(_PAIR_ROWS[m], axis=0).reshape(2, 2, m, 28, n)
+    P = G[0] * G[1]
+    return P[0] - P[1]
+
+
+def _pair_values(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(k, n) bilinear values (u ^ v)^T M_j (y ^ w) over a component-major block X of
+    shape (4, 8, n) with rows u, v, y, w; M stacks the 28 x 28 matrices M_1..M_k."""
+    D = _pair_coordinates(X)
+    return np.einsum("kpn,pn->kn", (M @ D[1]).reshape(-1, 28, X.shape[-1]), D[0])
+
+
+def _pair_forms(frames: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``_pair_values`` over an (N, 4, 8) stack of frames (any strides), transposed
+    to component-major one block of ``PAIR_BLOCK`` frames at a time."""
+    out = np.empty((len(M) // 28, len(frames)))
+    for s in range(0, len(frames), PAIR_BLOCK):
+        out[:, s:s + PAIR_BLOCK] = _pair_values(frames[s:s + PAIR_BLOCK].transpose(1, 2, 0), M)
+    return out
 
 
 def calibration_values_batch(frames: np.ndarray, phi) -> np.ndarray:
-    Tm = as_cayley(phi).tensor.reshape(64, 64)
-    out = np.empty(len(frames))
-    for i in range(0, len(frames), CHUNK):
-        F = frames[i:i + CHUNK]
-        S = _pair_contraction(Tm, F[:, :, 0], F[:, :, 1])
-        out[i:i + CHUNK] = np.einsum("nk,nkl,nl->n", F[:, :, 2], S, F[:, :, 3])
-    return out
+    """phi on each frame of an (N, 8, 4) stack, phi(c1, c2, c3, c4) of its columns:
+    the pair coordinates of c1 ^ c2 against phi's ``pair_matrix`` times c3 ^ c4."""
+    return _pair_forms(np.swapaxes(frames, 1, 2), as_cayley(phi).pair_matrix)[0]
 
 
 def _value_and_grad(Tm: np.ndarray, S: np.ndarray, W: np.ndarray):

@@ -4,13 +4,14 @@ Each criterion function performs its checks at the stated tolerances
 and sample sizes and returns a CriterionResult whose ``details`` contain
 only deterministic values (wall-clock time is kept out of the report
 payload so identical seeds give byte-identical reports; the elapsed
-time and budget travel separately for the test harness to enforce).
+time, the budget and any search diagnostics travel separately, for the
+test harness to enforce and for ``verify-all --timings`` to write).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class CriterionResult:
     details: dict
     elapsed: float
     budget: float
+    #: how the criterion's numerical searches ended; kept out of ``to_json_dict``
+    diagnostics: dict = field(default_factory=dict)
 
     def within_budget(self) -> bool:
         return self.elapsed < self.budget
@@ -40,12 +43,18 @@ class CriterionResult:
         return {"number": self.number, "name": self.name, "passed": self.passed,
                 "details": self.details}
 
+    def timings_json_dict(self) -> dict:
+        return {"number": self.number, "name": self.name, "elapsed_s": self.elapsed,
+                "budget_s": self.budget, "diagnostics": self.diagnostics}
 
-def _result(number, name, budget, t0, checks: dict, details: dict) -> CriterionResult:
+
+def _result(number, name, budget, t0, checks: dict, details: dict,
+            diagnostics: dict | None = None) -> CriterionResult:
     passed = all(bool(v) for v in checks.values())
     details = dict(details)
     details["checks"] = {k: bool(v) for k, v in checks.items()}
-    return CriterionResult(number, name, passed, details, time.perf_counter() - t0, budget)
+    return CriterionResult(number, name, passed, details, time.perf_counter() - t0, budget,
+                           diagnostics or {})
 
 
 def criterion_1_phi0() -> CriterionResult:
@@ -190,7 +199,8 @@ def criterion_6_free_dimension(seed: int = 0, five_planes: int = 100) -> Criteri
     return _result(6, "comass and free dimension", 300.0, t0, checks, {
         "comass": cm.value, "five_planes": five_planes,
         "min_value_over_5planes": min5, "free_frame_value": raw,
-    })
+    }, {"comass": {"stops": cm.stops, "iterations": cm.iterations,
+                   "backtracks": cm.backtracks}})
 
 
 def criterion_7_cayley_equivalence(seed: int = 0, count: int = 1000) -> CriterionResult:

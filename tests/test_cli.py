@@ -261,6 +261,23 @@ class TestOtherCommands:
         assert payload["intersection_cay0"] == 2
         assert payload["admits_spin7"] == "No"
 
+    def test_timings_leave_the_report_unchanged(self, capsys, tmp_path):
+        plain, timed, timings = (tmp_path / f for f in ("plain.json", "timed.json", "t.json"))
+        assert run_cli(capsys, "verify-all", "--report", str(plain))[0] == 0
+        code, out, _ = run_cli(capsys, "verify-all", "--report", str(timed),
+                               "--timings", str(timings))
+        assert code == 0 and out == ""
+        assert timed.read_bytes() == plain.read_bytes()
+        data = json.loads(timings.read_text())
+        assert data["seed"] == 0
+        assert [c["number"] for c in data["criteria"]] == list(range(1, 10))
+        assert all(c["elapsed_s"] >= 0 and c["budget_s"] > 0 for c in data["criteria"])
+        comass = data["criteria"][5]["diagnostics"]["comass"]
+        assert set(comass["stops"]) == {"gtol", "line_search_stall", "step_budget"}
+        assert sum(comass["stops"].values()) == 64
+        assert comass["iterations"] > 0 and comass["backtracks"] >= 0
+        assert all(c["diagnostics"] == {} for c in data["criteria"] if c["number"] != 6)
+
     def test_report_file(self, capsys, tmp_path, frame_file):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "phi", "eval", "--frame", frame_file,
@@ -332,6 +349,12 @@ class TestErrorPaths:
         path = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "phi", "eval", "--frame", frame_file,
                                  "--report", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: No such file" in err
+
+    def test_unwritable_timings_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "timings.json"
+        code, out, err = run_cli(capsys, "verify-all", "--timings", str(path))
         assert code == 2 and out == ""
         assert f"{path}: No such file" in err
 

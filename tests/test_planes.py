@@ -7,9 +7,12 @@ import pytest
 
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import CayleyForm, phi0, phi_octonionic
-from cayley_workbench.forms import KForm, basis_vector, blade_masks, indices_of
-from cayley_workbench.planes import (STOP_REASONS, Frame2, Frame4, Plane4, _ascend,
-                                     _search, _value_and_grad,
+from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate, indices_of,
+                                    lambda2_matrix)
+from cayley_workbench.frame_identities import pair_matrix
+from cayley_workbench.planes import (CHUNK, PAIR_BLOCK, STOP_REASONS, Frame2, Frame4,
+                                     Plane4, _ascend, _orthonormal_stack, _search,
+                                     _value_and_grad,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
@@ -154,6 +157,47 @@ class TestCalibration:
             is_cayley_free([e(1), e(1), e(3), e(5)], P0)
 
 
+#: rows on either side of the block edges of the pair-coordinate kernel and of CHUNK
+EDGE_ROWS = (0, 1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1,
+             CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+             8999)
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("form", ["phi0", "octonionic", "rotated", "dense"])
+    def test_pair_matrix_is_the_lambda2_block(self, form):
+        phi = {"phi0": P0, "octonionic": phi_octonionic(), "rotated": _haar_rotated_phi0(7)[1],
+               "dense": CayleyForm(DENSE)}[form]
+        assert phi.pair_matrix.shape == (28, 28)
+        assert phi.pair_matrix.tobytes() == pair_matrix(phi, 0).tobytes()
+        assert phi.pair_matrix.tobytes() == lambda2_matrix(phi.form).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_values_are_exact_on_integer_frames(self, n):
+        # entries -2..2 keep every product and sum an integer far below 2^53
+        F = np.random.default_rng(n).integers(-2, 3, size=(n, 8, 4))
+        values = calibration_values_batch(F.astype(float), P0)
+        assert values.shape == (n,)
+        want = np.einsum("ijkl,ni,nj,nk,nl->n", P0.tensor.astype(np.int64),
+                         *(F[:, :, c] for c in range(4)))
+        assert np.array_equal(values, want)
+        for r in (r for r in EDGE_ROWS if r < n):
+            assert values[r] == evaluate(P0.form, F[r].T.tolist())
+
+    def test_swapped_view_gives_the_bytes_of_its_copy(self):
+        view = np.swapaxes(np.random.default_rng(15).normal(size=(5000, 4, 8)), 1, 2)
+        got = calibration_values_batch(view, P0)
+        assert got.tobytes() == calibration_values_batch(np.ascontiguousarray(view), P0).tobytes()
+
+    @pytest.mark.parametrize("form", ["phi0", "rotated"])
+    def test_single_value_is_its_row_of_the_stack(self, form):
+        phi = P0 if form == "phi0" else _haar_rotated_phi0(8)[1]
+        frames = random_planes_batch(600, np.random.default_rng(16))
+        values = calibration_values_batch(frames, phi)
+        for r in (0, 1, PAIR_BLOCK - 1, PAIR_BLOCK, 599):
+            assert abs(calibration_value(Plane4(frames[r]), phi) - values[r]) <= 1e-15
+
+
 class TestOctonionicTest:
     def test_convention_is_the_reconciled_map(self):
         g = standard_convention()
@@ -269,6 +313,11 @@ class TestSampling:
         frames = random_planes_batch(20_000, np.random.default_rng(10))
         defect = calibration_values_batch(frames, P0) ** 2 + octonionic_residual(frames) ** 2 / 4
         assert float(np.max(np.abs(defect - 1.0))) <= 1e-13
+
+    def test_blocked_haar_draw_is_one_stacked_qr(self):
+        n = 2 * CHUNK + 5
+        want = _orthonormal_stack(np.random.default_rng(17).normal(size=(n, 8, 4)))
+        assert random_planes_batch(n, np.random.default_rng(17)).tobytes() == want.tobytes()
 
     def test_haar_frames_are_orthonormal(self):
         rng = np.random.default_rng(9)
