@@ -306,8 +306,14 @@ def so8_basis_element(p: int, q: int) -> list[list[int]]:
     return X
 
 
-def _derivation_on_blade(X, mask: int) -> dict:
-    """Derivation action of an so(n) element X on one blade, as a sparse dict.
+def _row_nonzeros(X) -> list[list[tuple[int, object]]]:
+    """Per row i of an so(n) element X, its nonzero entries as (1 << j, X[i][j])."""
+    return [[(1 << j, c) for j, c in enumerate(row) if c != 0] for row in X]
+
+
+def _derivation_on_blade(rows, mask: int) -> dict:
+    """Derivation action on one blade, as a sparse dict, of the so(n) element
+    whose nonzero entries are ``rows`` (see ``_row_nonzeros``).
 
     Each factor dx^i of the blade is replaced by -sum_j X[i][j] dx^j, and
     dx^j is sorted into place with the sign of the transpositions.
@@ -315,10 +321,8 @@ def _derivation_on_blade(X, mask: int) -> dict:
     acc: dict = {}
     for pos, i in enumerate(indices_of(mask)):
         rest = mask ^ (1 << (i - 1))
-        for j in range(1, len(X) + 1):
-            c = X[i - 1][j - 1]
-            jbit = 1 << (j - 1)
-            if c == 0 or rest & jbit:
+        for jbit, c in rows[i - 1]:  # empty for a zero row
+            if rest & jbit:
                 continue
             below = (rest & (jbit - 1)).bit_count()
             m2 = rest | jbit
@@ -330,9 +334,10 @@ def derivation_action(X, a: KForm) -> KForm:
     """Infinitesimal so(n) action: the degree-0 derivation extending
     dx^i -> -sum_j X[i][j] dx^j, summed blade by blade.  Exact for exact
     inputs."""
+    rows = _row_nonzeros(X)
     acc: dict = {}
     for mask, c in a.terms.items():
-        for m2, x in _derivation_on_blade(X, mask).items():
+        for m2, x in _derivation_on_blade(rows, mask).items():
             acc[m2] = acc.get(m2, 0) + c * x
     return KForm(a.n, a.degree, acc)
 

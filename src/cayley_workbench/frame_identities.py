@@ -25,7 +25,7 @@ import numpy as np
 
 from .cayley import as_cayley, as_kform
 from .forms import KForm, evaluate, flat, hodge, inner, interior, lambda2_matrix, wedge
-from .planes import CHUNK, _pair_contraction, _pair_coordinates, _pair_forms
+from .planes import PAIR_BLOCK, _pair_contraction, _pair_coordinates, _pair_forms
 
 #: |c_A|, |c_B| for the three identities (the proven coefficients must match)
 REFERENCE_MAGNITUDES = {1: (3.0, 2.0), 2: (4.0, 2.0), 3: (6.0, 7.0)}
@@ -160,15 +160,17 @@ def sample_frames(samples: int, rng: np.random.Generator,
 
     The projection moves only w, along the gradient of B in w, so the
     frames stay full-rank Gaussian in the remaining directions.  It runs
-    in blocks of ``CHUNK`` frames, so no (N, 64) temporary is held.
+    in blocks of ``PAIR_BLOCK`` frames, so its (n, 64) temporaries stay
+    128 KiB; at 4096 frames per block their two 2 MiB buffers would set the
+    peak resident set of a ``verify-all`` run.
     """
     if cayley_free and phi is None:
         raise ValueError("cayley_free sampling needs phi")
-    F = rng.normal(size=(samples, 4, 8))
+    F = rng.standard_normal(size=(samples, 4, 8))
     if cayley_free:
         Tm = as_cayley(phi).tensor.reshape(64, 64)
-        for s in range(0, samples, CHUNK):
-            block = F[s:s + CHUNK]  # a view: w is projected in place
+        for s in range(0, samples, PAIR_BLOCK):
+            block = F[s:s + PAIR_BLOCK]  # a view: w is projected in place
             N = _pair_contraction(Tm, block[:, 0], block[:, 1])
             G = np.einsum("ni,nij->nj", block[:, 2], N)  # B = <G, w> with G = Phi(u, v, y, .)
             gn = np.einsum("ni,ni->n", G, G)

@@ -277,9 +277,10 @@ def random_plane(seed: int = 0) -> Plane4:
     return Plane4.random(np.random.default_rng(seed))
 
 
-#: rows per block of a batched kernel; bounds its (n, 64) and QR temporaries
+#: frames per block of the Haar draw's Gram-Schmidt; bounds its temporaries
 CHUNK = 4096
-#: frames per block of the pair-coordinate kernel; keeps its temporaries in cache
+#: frames per block of the pair-coordinate kernel and of the Cayley-free
+#: projection; keeps their temporaries in cache
 PAIR_BLOCK = 256
 
 
@@ -290,16 +291,53 @@ def _orthonormal_stack(A: np.ndarray) -> np.ndarray:
     return q
 
 
+def _sum8(X: np.ndarray) -> np.ndarray:
+    """Sum over the 8 coordinates (axis -2) of a component-major block, overwriting X.
+
+    A fixed tree of elementwise adds, so a frame's sum does not depend on how
+    many frames share the block (``X.sum(-2)`` switches to pairwise order on a
+    one-frame block)."""
+    X[..., :4, :] += X[..., 4:, :]
+    X[..., :2, :] += X[..., 2:4, :]
+    X[..., 0, :] += X[..., 1, :]
+    return X[..., 0, :]
+
+
+def _gram_schmidt(Q: np.ndarray) -> np.ndarray:
+    """Orthonormalise in place the columns Q[0], Q[1], ... of a component-major
+    block Q of shape (k, 8, n): classical Gram-Schmidt run twice, then each
+    column divided by its norm.  Every op is elementwise over the n frames."""
+    buf = np.empty_like(Q)
+    for j, q in enumerate(Q):
+        for _ in range(2 if j else 0):
+            c = _sum8(np.multiply(Q[:j], q, out=buf[:j]))  # <Q_k, q>, k < j
+            for k in range(j):
+                q -= np.multiply(c[k], Q[k], out=buf[j])
+        q /= np.sqrt(_sum8(np.multiply(q, q, out=buf[0])))
+    return Q
+
+
 def random_planes_batch(n: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of n Haar-random oriented orthonormal 8x4 frames.
 
-    The Gaussian draw is orthonormalised in place, ``CHUNK`` frames per QR, so
-    the QR's temporaries stay a few MB whatever n is; each frame's factor is
-    the one a single stacked QR gives, bit for bit.
+    Each frame is the Q factor, with R's diagonal positive, of a Gaussian
+    8x4 draw (Mezzadri, Notices AMS 2007).  Gram-Schmidt gives that Q
+    directly: the draw is transposed ``CHUNK`` frames at a time to
+    component-major (4, 8, n), orthonormalised by ``_gram_schmidt`` (twice
+    is enough for orthogonality to working precision: Giraud, Langou,
+    Rozloznik and van den Eshof, Numer. Math. 2005) and written back.  Every
+    op is elementwise over the frames of a block, so the result does not
+    depend on the block size, and it agrees with a LAPACK QR to rounding.
+
+    This Gram-Schmidt serves the Haar draw only.  The ascent's retraction and
+    ``orthonormal_frame`` keep the per-frame LAPACK QR (``_orthonormal_stack``):
+    on their stacks of 4 to 64 frames Gram-Schmidt is 1.2-9x slower per call
+    (one BLAS thread; ``BENCH_19.json``).
     """
-    A = rng.normal(size=(n, 8, 4))
+    A = rng.standard_normal(size=(n, 8, 4))
     for s in range(0, n, CHUNK):
-        A[s:s + CHUNK] = _orthonormal_stack(A[s:s + CHUNK])
+        block = A[s:s + CHUNK]
+        block[...] = _gram_schmidt(block.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
     return A
 
 

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import _derivation_on_blade, admissibility_report, as_kform, so8_basis_element
+from .cayley import (_derivation_on_blade, _row_nonzeros, admissibility_report, as_kform,
+                     so8_basis_element)
 from .forms import (KForm, blade_masks, coeffs_to_form, flat, form_to_coeffs,
                     hodge, indices_of, lambda2_matrix, wedge)
 
@@ -220,9 +221,9 @@ def _generator_matrices(k: int) -> np.ndarray:
     pairs = [indices_of(m) for m in blade_masks(8, 2)]
     out = np.zeros((28, len(masks), len(masks)))
     for r, (p, q) in enumerate(pairs):
-        X = so8_basis_element(p, q)
+        rows = _row_nonzeros(so8_basis_element(p, q))
         for col, m in enumerate(masks):
-            img = _derivation_on_blade(X, m)
+            img = _derivation_on_blade(rows, m)
             for mm, c in img.items():
                 out[r, pos[mm], col] = c
     return out

@@ -186,7 +186,7 @@ def criterion_6_free_dimension(seed: int = 0, five_planes: int = 100) -> Criteri
     p = phi0()
     cm = comass(p, restarts=64, steps=500, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    S = np.stack([orthonormal_frame(rng.normal(size=(8, 5)).T) for _ in range(five_planes)])
+    S = orthonormal_frame(list(np.moveaxis(rng.normal(size=(five_planes, 8, 5)), -1, 0)))
     min5 = float(np.min(five_plane_comass(S, p)))
     e = lambda i: basis_vector(8, i)
     raw = evaluate(p.form, [e(1), e(2), e(3), e(5)])

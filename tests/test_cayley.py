@@ -288,6 +288,38 @@ class TestDerivationAction:
         rhs = wedge(derivation_action(X, a), b) + wedge(a, derivation_action(X, b))
         assert lhs == rhs
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_rows_match_dense_scan(self, seed):
+        # reference: every entry of row i of X is scanned for every index i of a blade
+        def dense(X, a):
+            acc = {}
+            for mask, c in a.terms.items():
+                for pos, i in enumerate(indices_of(mask)):
+                    rest = mask ^ (1 << (i - 1))
+                    for j in range(1, 9):
+                        x, jbit = X[i - 1][j - 1], 1 << (j - 1)
+                        if x == 0 or rest & jbit:
+                            continue
+                        m2 = rest | jbit
+                        sign = 1 if (pos + (rest & (jbit - 1)).bit_count()) % 2 else -1
+                        acc[m2] = acc.get(m2, 0) + c * sign * x
+            return KForm(8, a.degree, acc)
+
+        rng = np.random.default_rng(seed)
+        U = np.triu(rng.integers(-2, 3, size=(8, 8)) * (rng.random((8, 8)) < 0.4), 1)
+        X = (U - U.T).tolist()
+        for k in range(1, 8):
+            masks = rng.choice(blade_masks(8, k), size=min(6, len(blade_masks(8, k))),
+                               replace=False)
+            ints = {int(m): int(rng.integers(-5, 6)) for m in masks}
+            fracs = {m: Fraction(c, int(rng.integers(1, 7))) for m, c in ints.items()}
+            for terms in (ints, fracs):
+                a = KForm(8, k, terms)
+                got, want = derivation_action(X, a), dense(X, a)
+                assert got.terms == want.terms
+                assert all(type(c) is type(next(iter(terms.values())))
+                           for c in got.terms.values())
+
 
 def _rotate(T, g):
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", T, g, g, g, g, optimize=True)

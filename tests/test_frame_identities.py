@@ -21,7 +21,7 @@ from cayley_workbench.frame_identities import (REFERENCE_MAGNITUDES,
                                                identity_residual, invariants,
                                                pair_coords, pair_matrix,
                                                sample_frames)
-from cayley_workbench.planes import CHUNK, _pair_contraction
+from cayley_workbench.planes import PAIR_BLOCK, _pair_contraction
 from cayley_workbench.representations import wedge_star_matrix
 
 P0 = phi0()
@@ -133,7 +133,7 @@ class TestExtraction:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_blocked_cayley_free_sampler_matches_one_product(self, seed):
-        # 20,000 frames span five blocks; each block's product rounds as the whole one did
+        # 20,000 frames span 79 blocks; each block's product rounds as the whole one did
         F = sample_frames(20000, np.random.default_rng(seed), cayley_free=True, phi=P0)
         G = np.random.default_rng(seed).normal(size=(20000, 4, 8))
         N = _pair_contraction(as_cayley(P0).tensor.reshape(64, 64), G[:, 0], G[:, 1])
@@ -141,8 +141,13 @@ class TestExtraction:
         gn = np.einsum("ni,ni->n", grad, grad)
         gn[gn == 0] = 1.0
         G[:, 3] -= (np.einsum("ni,ni->n", grad, G[:, 3]) / gn)[:, None] * grad
-        assert 20000 > 4 * CHUNK
+        assert 20000 > 78 * PAIR_BLOCK
         assert F.tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_frames_are_the_gaussian_draw(self, seed):
+        F = sample_frames(1000, np.random.default_rng(seed))
+        assert np.array_equal(F, np.random.default_rng(seed).normal(size=(1000, 4, 8)))
 
     def test_cayley_free_sampler_needs_phi(self):
         with pytest.raises(ValueError, match="cayley_free sampling needs phi"):

@@ -11,8 +11,8 @@ from cayley_workbench.forms import (KForm, basis_vector, blade_masks, evaluate, 
                                     lambda2_matrix)
 from cayley_workbench.frame_identities import pair_matrix
 from cayley_workbench.planes import (CHUNK, PAIR_BLOCK, STOP_REASONS, Frame2, Frame4,
-                                     Plane4, _ascend, _orthonormal_stack, _search,
-                                     _value_and_grad,
+                                     Plane4, _ascend, _gram_schmidt, _orthonormal_stack,
+                                     _search, _value_and_grad,
                                      acs_contraction_matrix, acs_from_2frame,
                                      calibration_value, calibration_values_batch,
                                      cayley_plane_from_3frame, comass,
@@ -50,6 +50,12 @@ class TestFrames:
         F = orthonormal_frame([(2, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0)])
         assert np.allclose(F[:, 0], ef(1))
         assert np.allclose(F[:, 1], ef(2))
+
+    def test_stacked_frames_equal_single_calls(self):
+        # criterion 6 draws its five-frames as one stack
+        draw = np.random.default_rng(3).normal(size=(20, 8, 5))
+        S = orthonormal_frame(list(np.moveaxis(draw, -1, 0)))
+        assert S.tobytes() == np.stack([orthonormal_frame(A.T) for A in draw]).tobytes()
 
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -314,10 +320,35 @@ class TestSampling:
         defect = calibration_values_batch(frames, P0) ** 2 + octonionic_residual(frames) ** 2 / 4
         assert float(np.max(np.abs(defect - 1.0))) <= 1e-13
 
-    def test_blocked_haar_draw_is_one_stacked_qr(self):
+    def test_blocked_haar_draw_is_one_block(self):
+        # every op of the Gram-Schmidt is elementwise over the frames, so blocks
+        # of CHUNK frames, or of one frame, round as the whole draw does
         n = 2 * CHUNK + 5
-        want = _orthonormal_stack(np.random.default_rng(17).normal(size=(n, 8, 4)))
-        assert random_planes_batch(n, np.random.default_rng(17)).tobytes() == want.tobytes()
+        A = np.random.default_rng(17).normal(size=(n, 8, 4))
+        whole = _gram_schmidt(A.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
+        assert random_planes_batch(n, np.random.default_rng(17)).tobytes() == whole.tobytes()
+        one = _gram_schmidt(A[-1:].transpose(2, 1, 0).copy()).transpose(2, 1, 0)
+        assert one.tobytes() == whole[-1:].tobytes()
+
+    def test_haar_draw_is_the_qr_factor(self):
+        n = 2 * CHUNK + 5
+        A = np.random.default_rng(18).normal(size=(n, 8, 4))
+        Q = random_planes_batch(n, np.random.default_rng(18))
+        assert float(np.max(np.abs(Q - _orthonormal_stack(A)))) <= 1e-14
+        # Q^T A = R: upper triangular with a positive diagonal
+        R = np.swapaxes(Q, 1, 2) @ A
+        assert float(np.max(np.abs(np.tril(R, -1)))) <= 1e-13
+        assert float(np.min(np.diagonal(R, axis1=1, axis2=2))) > 0
+
+    def test_gram_schmidt_on_ill_conditioned_frames(self):
+        # twice is enough: orthogonal to working precision at condition number 1e8
+        rng = np.random.default_rng(19)
+        U = _orthonormal_stack(rng.normal(size=(100, 8, 4)))
+        V = _orthonormal_stack(rng.normal(size=(100, 4, 4)))
+        A = (U * np.array([1.0, 1e-3, 1e-5, 1e-8])) @ np.swapaxes(V, 1, 2)
+        assert np.allclose(np.linalg.cond(A), 1e8, rtol=1e-3)
+        Q = _gram_schmidt(A.transpose(2, 1, 0).copy()).transpose(2, 1, 0)
+        assert float(np.max(np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(4)))) <= 1e-14
 
     def test_haar_frames_are_orthonormal(self):
         rng = np.random.default_rng(9)
