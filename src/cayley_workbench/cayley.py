@@ -130,6 +130,11 @@ class CayleyForm:
         triple cross; None for a form outside phi0's SO(8)-orbit."""
         return _orbit_rotation(self.tensor)
 
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        """``admissibility_report`` at its default tolerance, computed once per form."""
+        return admissibility_report(self)
+
 
 def as_kform(phi) -> KForm:
     return phi.form if isinstance(phi, CayleyForm) else phi
@@ -543,7 +548,7 @@ def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> Orbit
     certifies orbit membership numerically; a positive floor is evidence (not
     proof) of a different orbit.
     """
-    from .planes import STOP_REASONS, _ascend  # planes imports this module
+    from .planes import STOP_REASONS, _ascend, _orthonormal_stack  # planes imports this module
 
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -553,7 +558,9 @@ def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> Orbit
         return OrbitResult(_misfit(A, c.orbit_rotation), c.orbit_rotation, "construction", {})
     T = phi0().tensor.reshape(64, 64)
     rng = np.random.default_rng(seed)
-    W = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
+    haar = _orthonormal_stack(rng.normal(size=(restarts - 1, 8, 8)))
+    haar[np.linalg.det(haar) < 0, :, 0] *= -1
+    W = np.concatenate([np.eye(8)[None], haar])
     rotations, values, stop, *_ = _ascend(partial(_negative_misfit, A, T), W, steps, 0.05,
                                           gtol=1e-12)
     best = int(np.argmax(values))
@@ -581,11 +588,3 @@ def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray):
     WtG = W.transpose(0, 2, 1) @ G
     D = G - W @ ((WtG + WtG.transpose(0, 2, 1)) / 2.0)
     return -np.einsum("rpq,rpq->r", R, R), D, np.sqrt(np.einsum("rij,rij->r", D, D))
-
-
-def _haar_so8(rng) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(8, 8)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -178,7 +178,7 @@ def cmd_decompose(args):
     phi = _phi_source(args.phi)
     if not 0 <= args.degree <= 8:
         raise InputError("degree must be 0..8")
-    if 1 <= args.degree <= 7 and not admissibility_report(phi).admissible:
+    if 1 <= args.degree <= 7 and not phi.admissibility.admissible:
         raise InputError(f"{args.phi}: form fails the admissibility certificates")
     sb = representations.split(phi, args.degree)
     dims = sb.dims()

@@ -98,7 +98,7 @@ def criterion_3_representations() -> CriterionResult:
     resid = float(np.max(np.abs(M @ vecs - vecs * vals)))
     n7 = int(np.sum(np.abs(vals - 3.0) < 1e-9))
     n21 = int(np.sum(np.abs(vals + 1.0) < 1e-9))
-    sb3 = representations.lambda3_split(p)
+    sb3 = representations.split(p, 3)
     spec4 = representations.casimir_spectrum(p, 4)
     mults4 = sorted(m for _, m in spec4)
     checks = {

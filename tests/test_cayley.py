@@ -218,6 +218,16 @@ class TestAdmissibility:
         assert admissibility_report(BROKEN_PHI0).orbit_residual is None
         assert admissibility_report(2 * phi0().form).orbit_residual is None
 
+    def test_report_is_computed_once_per_form(self, monkeypatch):
+        import cayley_workbench.cayley as cayley
+        calls = []
+        monkeypatch.setattr(cayley, "stabilizer_dimension",
+                            lambda a: calls.append(a) or stabilizer_dimension(a))
+        c = CayleyForm(phi0().form)
+        assert c.admissibility is c.admissibility
+        assert c.admissibility == admissibility_report(phi0())
+        assert len(calls) == 2
+
     def test_float_form_numerical_rank(self):
         f = phi0().form
         fl = KForm(8, 4, {m: float(c) for m, c in f.terms.items()})
@@ -325,12 +335,18 @@ def _rotate(T, g):
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", T, g, g, g, g, optimize=True)
 
 
-def _haar_rotation(seed):
-    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(8, 8)))
+def _haar_so8(rng):
+    """One Haar rotation: sign-fixed QR of a Gaussian matrix, column 0 flipped
+    when the determinant is negative."""
+    q, r = np.linalg.qr(rng.normal(size=(8, 8)))
     g = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(g) < 0:
         g[:, 0] = -g[:, 0]
     return g
+
+
+def _haar_rotation(seed):
+    return _haar_so8(np.random.default_rng(seed))
 
 
 def _from_tensor(T):
@@ -399,6 +415,25 @@ class TestOrbitDescent:
     def test_phi0_from_the_identity_start(self):
         dist, rotation = orbit_distance(phi0(), restarts=1)
         assert dist == 0.0 and np.array_equal(rotation, np.eye(8))
+
+    @pytest.mark.parametrize("restarts", [1, 2, 4, 9])
+    def test_restart_rotations_are_the_per_matrix_draws(self, monkeypatch, restarts):
+        # the stacked draw equals one _haar_so8 call per restart, byte for byte
+        from cayley_workbench import planes
+        starts = []
+
+        def capture(f, W, *args, **kwargs):
+            starts.append(W.copy())
+            return ascend(f, W, *args, **kwargs)
+
+        ascend = planes._ascend
+        monkeypatch.setattr(planes, "_ascend", capture)
+        a = blade(8, 1, 2, 3, 4)
+        for seed in range(20):
+            orbit_search(a, steps=1, restarts=restarts, seed=seed)
+            rng = np.random.default_rng(seed)
+            want = np.stack([np.eye(8)] + [_haar_so8(rng) for _ in range(restarts - 1)])
+            assert starts[-1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_needs_a_restart(self, restarts):

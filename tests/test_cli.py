@@ -231,6 +231,16 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "component,dimension"
 
+    def test_decompose_checks_admissibility_once(self, capsys, monkeypatch, form_file):
+        import cayley_workbench.cayley as cayley
+        calls = []
+        rank = cayley.stabilizer_dimension
+        monkeypatch.setattr(cayley, "stabilizer_dimension", lambda a: calls.append(a) or rank(a))
+        code, out, _ = run_cli(capsys, "decompose", "--degree", "4",
+                               "--phi", form_file(phi0().form))
+        assert code == 0 and json.loads(out)["total"] == 70
+        assert len(calls) == 1
+
     def test_mirror_build(self, capsys, tmp_path):
         path = tmp_path / "free.json"
         path.write_text(json.dumps(FRAME_FREE))

@@ -1,16 +1,19 @@
 """Irreducible splittings, the stabilizer algebra, and Casimir spectra."""
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from cayley_workbench import representations as reps
-from cayley_workbench.cayley import derivation_action, phi0
+from cayley_workbench.cayley import ConventionMap, derivation_action, phi0, so8_basis_element
 from cayley_workbench.forms import KForm, blade, blade_masks, coeffs_to_form, \
-    form_to_coeffs, hodge
+    form_to_coeffs, hodge, wedge
 
 P0 = phi0()
+#: phi0 carried by a signed permutation: admissible, with another M
+MOVED = ConventionMap((2, 1, 4, 3, 6, 5, 8, 7), (1, -1, 1, 1, -1, 1, 1, 1)).transport(P0.form)
 
 #: Casimir eigenvalues in the trace-orthonormal normalization, recorded from
 #: the construction itself (they are stable rationals: -21/8, -3, -5, -49/8, ...)
@@ -138,6 +141,65 @@ class TestCasimir:
         assert np.linalg.norm(C - C.T) < 1e-12
 
 
+@lru_cache(maxsize=None)
+def _derivation_generators(k):
+    """G[r] = matrix of E_pq (r-th pair p < q) acting on degree-k blades, one
+    derivation_action call per blade."""
+    masks = blade_masks(8, k)
+    return np.array([[form_to_coeffs(derivation_action(so8_basis_element(p, q),
+                                                       KForm(8, k, {m: 1})), masks)
+                      for m in masks]
+                     for p, q in combinations(range(1, 9), 2)]).transpose(0, 2, 1)
+
+
+def _trace_orthonormal_casimir(phi, k):
+    """Sum of R(X)^2 over the spin(7) basis, each X scaled to tr(X^T X) = 1."""
+    G = _derivation_generators(k)
+    C = np.zeros(G.shape[1:])
+    for X in reps.spin7_lie_algebra(phi):
+        Xn = X / np.sqrt(np.trace(X.T @ X))
+        R = np.einsum("r,rab->ab", Xn[np.triu_indices(8, 1)], G)
+        C += R @ R
+    return C
+
+
+class TestCasimirClosedForm:
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("phi", [P0, MOVED], ids=["phi0", "moved"])
+    def test_equals_trace_orthonormal_sum(self, phi, k):
+        C = reps.casimir_matrix(phi, k)
+        assert np.max(np.abs(C - _trace_orthonormal_casimir(phi, k))) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_eight_times_casimir_is_integral(self, k):
+        C8 = 8 * reps.casimir_matrix(P0, k)
+        assert np.array_equal(C8, np.rint(C8))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_components_in_table_order(self, k):
+        assert list(reps.split(P0, k).components) == list(reps.DIMENSION_TABLE[k])
+
+
+class TestDefiningOperators:
+    def test_48_is_the_wedge_kernel(self):
+        for b in reps.split(P0, 3).components["3_48"]:
+            assert float(wedge(b, P0.form).norm_sq()) ** 0.5 < 1e-12
+
+    def test_8_is_spanned_by_star_of_vectors_wedge_phi(self):
+        masks = blade_masks(8, 3)
+        gen = np.array([form_to_coeffs(hodge(wedge(KForm(8, 1, {1 << i: 1}), P0.form)), masks)
+                        for i in range(8)])
+        q, _ = np.linalg.qr(gen.T)
+        B8 = comp_matrix(reps.split(P0, 3), "3_8")
+        assert np.linalg.norm(q @ q.T - B8.T @ B8) < 1e-12
+
+    def test_self_dual_and_anti_self_dual_pieces(self):
+        sb = reps.split(P0, 4)
+        for label, sign in (("4_1", 1), ("4_7", 1), ("4_27", 1), ("4_35", -1)):
+            for b in sb.components[label]:
+                assert float((hodge(b) - sign * b).norm_sq()) ** 0.5 < 1e-12
+
+
 class TestStabilizerAlgebra:
     def test_annihilates_phi(self):
         for X in reps.spin7_lie_algebra(P0):
@@ -195,8 +257,20 @@ class TestGate:
 
     def test_rotation_invariant_split(self):
         # a transported phi is admissible and splits with the same dimensions
-        from cayley_workbench.cayley import ConventionMap
-        g = ConventionMap((2, 1, 4, 3, 6, 5, 8, 7), (1, -1, 1, 1, -1, 1, 1, 1))
-        moved = g.transport(P0.form)
-        sb = reps.lambda2_split(moved)
+        sb = reps.lambda2_split(MOVED)
         assert sb.dims() == {"2_7": 7, "2_21": 21}
+
+    def test_degree_one_is_gated(self):
+        # the coordinate basis of 1-forms is no longer returned for any input
+        with pytest.raises(ValueError, match="admissibility"):
+            reps.split(blade(8, 1, 2, 3, 4), 1)
+        assert reps.split(blade(8, 1, 2, 3, 4), 0).dims() == {"0_1": 1}
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_casimir_needs_the_projector_identity(self, k):
+        with pytest.raises(ValueError, match="2M"):
+            reps.casimir_matrix(blade(8, 1, 2, 3, 4), k)
+
+    def test_casimir_spectrum_refuses_inadmissible_forms(self):
+        with pytest.raises(ValueError, match="admissibility"):
+            reps.casimir_spectrum(blade(8, 1, 2, 3, 4), 2)
