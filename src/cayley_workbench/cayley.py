@@ -530,7 +530,9 @@ def _misfit(A: np.ndarray, g: np.ndarray) -> float:
 class OrbitResult:
     """Closest rotation to phi0 found for a form, and how: ``method`` is
     "construction" when the triple-cross frame certified orbit membership, else
-    "descent", whose restarts ``stops`` counts by ``planes.STOP_REASONS``."""
+    "descent", whose restarts ``stops`` counts by ``planes.STOP_REASONS``: a
+    descent to a positive floor ends on ``gain_below_ulp`` once its steps can no
+    longer change the misfit, while ``line_search_stall`` marks a failed search."""
 
     distance: float
     rotation: np.ndarray
@@ -548,7 +550,7 @@ def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> Orbit
     certifies orbit membership numerically; a positive floor is evidence (not
     proof) of a different orbit.
     """
-    from .planes import STOP_REASONS, _ascend, _orthonormal_stack  # planes imports this module
+    from .planes import _ascend, _orthonormal_stack, _stop_counts  # planes imports this module
 
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -565,7 +567,7 @@ def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> Orbit
                                           gtol=1e-12)
     best = int(np.argmax(values))
     return OrbitResult(float(np.sqrt(-values[best] / 24.0)), rotations[best], "descent",
-                       dict(zip(STOP_REASONS, np.bincount(stop, minlength=3).tolist())))
+                       _stop_counts(stop))
 
 
 def orbit_distance(a, steps: int = 400, restarts: int = 4,

@@ -402,7 +402,12 @@ def _value_and_grad(Tm: np.ndarray, S: np.ndarray, W: np.ndarray):
     return np.einsum("bi,bi->b", C[2], b4), D, np.sqrt(np.einsum("bij,bij->b", D, D))
 
 
-STOP_REASONS = ("gtol", "line_search_stall", "step_budget")
+STOP_REASONS = ("gtol", "line_search_stall", "step_budget", "gain_below_ulp")
+
+
+def _stop_counts(stop: np.ndarray) -> dict:
+    """Rows per stop reason, keyed by STOP_REASONS, from ``_ascend``'s stop codes."""
+    return dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS)).tolist()))
 
 
 def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float):
@@ -414,22 +419,28 @@ def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float
     of (B, m, 4) frames inside one subspace; ``cayley.orbit_search``
     ascends over (B, 8, 8) rotations.  The rows advance in lockstep, one
     stacked QR retraction per candidate, each with its own Armijo step that
-    starts at ``step0`` and halves on every rejection.  A row stops at
-    gradient norm ``gtol``, when its step falls to 1e-13 (line-search stall)
-    or after ``steps`` accepted steps.  Returns per row: frames, values, stop
-    codes (into STOP_REASONS), accepted steps and backtracks.
+    starts at ``step0`` and halves on every rejection.  A row stops, in this
+    order of precedence, after ``steps`` accepted steps (step budget), at
+    gradient norm ``gtol``, when the first-order gain t |grad|^2 of its step
+    falls below one ulp of its value (gain below ulp: no step of that length
+    can change the value any more), or when its step falls to 1e-13 while
+    the gain is still resolvable (line-search stall, a real failure of the
+    search).  Returns per row: frames, values, stop codes (into
+    STOP_REASONS), accepted steps, backtracks and final gradient norms.
     """
     B = len(W)
-    out = (np.empty_like(W), np.empty(B), *(np.empty(B, dtype=int) for _ in range(3)))
+    out = (np.empty_like(W), np.empty(B), *(np.empty(B, dtype=int) for _ in range(3)),
+           np.empty(B))
     rows, t = np.arange(B), np.full(B, float(step0))
     k, nb = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
     val, D, gn = value_and_grad(W)
     while rows.size:
         budget, small = k >= steps, gn < gtol
-        done = budget | small | ~(t > 1e-13)
+        below_ulp = t * gn * gn < np.spacing(np.abs(val))
+        done = budget | small | below_ulp | ~(t > 1e-13)
         if done.any():  # retire finished rows; the rest stay contiguous
-            stop = np.where(budget, 2, np.where(small, 0, 1))
-            for o, x in zip(out, (W, val, stop, k, nb)):
+            stop = np.select([budget, small, below_ulp], [2, 0, 3], 1)
+            for o, x in zip(out, (W, val, stop, k, nb, gn)):
                 o[rows[done]] = x[done]
             rows, W, val, D, gn, t, k, nb = (x[~done] for x in (rows, W, val, D, gn, t, k, nb))
             continue
@@ -446,15 +457,18 @@ def _ascend(value_and_grad, W: np.ndarray, steps: int, step0: float, gtol: float
 
 @dataclass(frozen=True)
 class AscentResult:
-    """Best of a multistart ascent; ``stops`` counts restarts by STOP_REASONS, and
-    ``iterations`` / ``backtracks`` total their accepted and rejected steps.  An
-    answer taken in closed form has ``stops == {"closed_form": 1}`` and no steps."""
+    """Best of a multistart ascent; ``stops`` counts restarts by STOP_REASONS,
+    ``iterations`` / ``backtracks`` total their accepted and rejected steps, and
+    ``grad_norm`` is the final Riemannian gradient norm of the best restart.  An
+    answer taken in closed form has ``stops == {"closed_form": 1}``, no steps and
+    ``grad_norm`` None."""
 
     value: float
     plane: Plane4
     stops: dict
     iterations: int
     backtracks: int
+    grad_norm: float | None
 
     @property
     def converged(self) -> bool:
@@ -509,11 +523,10 @@ def _search(S: np.ndarray, phi, restarts: int, steps: int, seed: int) -> AscentR
     W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(S.shape[1], 4))
                                       for r in range(restarts)]))
     objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64), S)
-    frames, values, stop, iters, backs = _ascend(objective, W0, steps, 0.1, gtol=1e-8)
+    frames, values, stop, iters, backs, gn = _ascend(objective, W0, steps, 0.1, gtol=1e-8)
     b = int(np.argmax(values))
     return AscentResult(float(values[b]), Plane4(orthonormal_frame((S @ frames[b]).T)),
-                        dict(zip(STOP_REASONS, np.bincount(stop, minlength=3).tolist())),
-                        int(iters.sum()), int(backs.sum()))
+                        _stop_counts(stop), int(iters.sum()), int(backs.sum()), float(gn[b]))
 
 
 def _best_plane_of_five(S: np.ndarray, phi) -> AscentResult:
@@ -527,7 +540,7 @@ def _best_plane_of_five(S: np.ndarray, phi) -> AscentResult:
     frames = np.stack([B, B[:, [1, 0, 2, 3]]])
     values = calibration_values_batch(frames, phi)
     b = int(np.argmax(values))
-    return AscentResult(float(values[b]), Plane4(frames[b]), {"closed_form": 1}, 0, 0)
+    return AscentResult(float(values[b]), Plane4(frames[b]), {"closed_form": 1}, 0, 0, None)
 
 
 def _five_plane_normals(S: np.ndarray, phi) -> np.ndarray:

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import (CayleyForm, _derivation_on_blade, _row_nonzeros, as_cayley, as_kform,
-                     so8_basis_element)
+from .cayley import CayleyForm, as_cayley, as_kform
 from .forms import (KForm, blade_masks, coeffs_to_form, form_to_coeffs, hodge, indices_of,
                     lambda2_matrix)
 
@@ -134,17 +133,25 @@ def _generator_matrices(k: int) -> np.ndarray:
     the r-th pair (p, q), p < q.  The action of a general antisymmetric X
     is then sum over pairs of X[p-1, q-1] times these (X identified with
     sum X_pq E_pq over p < q).  Entries are 0 and +-1, stored as int8.
+
+    E_pq sends dx^p to -dx^q and dx^q to dx^p, so it moves a blade holding
+    exactly one of p, q to the blade with the other index in its place, and
+    kills every other blade: each column has at most one nonzero, which is
+    gathered from index arrays.  The sign is that of sorting the new index
+    into the place of the old one (as in ``cayley._derivation_on_blade``).
     """
-    masks = blade_masks(8, k)
-    pos = {m: i for i, m in enumerate(masks)}
-    pairs = [indices_of(m) for m in blade_masks(8, 2)]
+    masks = np.array(blade_masks(8, k))
+    row_of = np.zeros(1 << 8, dtype=np.intp)
+    row_of[masks] = np.arange(len(masks))
+    pq = np.array(blade_masks(8, 2))
+    old = masks & pq[:, None]  # the one index of the pair that a moved blade holds
+    r, col = np.nonzero(np.bitwise_count(old) == 1)
+    old, m = old[r, col], masks[col]
+    new, rest = pq[r] ^ old, m ^ old
+    parity = np.bitwise_count(m & (old - 1)) + np.bitwise_count(rest & (new - 1))
     out = np.zeros((28, len(masks), len(masks)), dtype=np.int8)
-    for r, (p, q) in enumerate(pairs):
-        rows = _row_nonzeros(so8_basis_element(p, q))
-        for col, m in enumerate(masks):
-            img = _derivation_on_blade(rows, m)
-            for mm, c in img.items():
-                out[r, pos[mm], col] = c
+    # dx^p -> -dx^q (the old index is the lower one), dx^q -> +dx^p
+    out[r, row_of[rest | new], col] = np.where(old < new, -1, 1) * (1 - 2 * (parity & 1))
     return out
 
 

@@ -121,9 +121,8 @@ def criterion_4_acs(seed: int = 0, frames: int = 1000) -> CriterionResult:
     t0 = time.perf_counter()
     p = phi0()
     rng = np.random.default_rng(seed)
-    draws = [(rng.normal(size=(8, 2)), rng.uniform(0, 2 * np.pi)) for _ in range(frames)]
-    A = np.stack([a for a, _ in draws])
-    th = np.array([t for _, t in draws])[:, None]
+    A = rng.normal(size=(frames, 8, 2))
+    th = rng.uniform(0, 2 * np.pi, size=(frames, 1))
     F = orthonormal_frame([A[:, :, 0], A[:, :, 1]])
     acs = acs_from_2frame(F[:, :, 0], F[:, :, 1], p)
     r = acs.residuals()
@@ -200,7 +199,7 @@ def criterion_6_free_dimension(seed: int = 0, five_planes: int = 100) -> Criteri
         "comass": cm.value, "five_planes": five_planes,
         "min_value_over_5planes": min5, "free_frame_value": raw,
     }, {"comass": {"stops": cm.stops, "iterations": cm.iterations,
-                   "backtracks": cm.backtracks}})
+                   "backtracks": cm.backtracks, "grad_norm": cm.grad_norm}})
 
 
 def criterion_7_cayley_equivalence(seed: int = 0, count: int = 1000) -> CriterionResult:

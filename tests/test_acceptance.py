@@ -60,6 +60,13 @@ def test_criterion_6_comass_and_free_dimension():
     assert r.details["free_frame_value"] == 0
 
 
+def test_criterion_6_diagnostics_report_the_final_gradient_norm():
+    diagnostics = verify.criterion_6_free_dimension(seed=0).diagnostics["comass"]
+    assert set(diagnostics) == {"stops", "iterations", "backtracks", "grad_norm"}
+    assert diagnostics["stops"]["gain_below_ulp"] == 64
+    assert 0 < diagnostics["grad_norm"] < 1e-6
+
+
 def test_criterion_7_cayley_test_equivalence():
     r = _run(verify.criterion_7_cayley_equivalence, seed=0)
     assert r.details["disagreements"] == 0

@@ -399,6 +399,15 @@ class TestOrbitDescent:
         assert result.method == "descent" and sum(result.stops.values()) == 2
         assert abs(result.distance - np.sqrt(13)) < 1e-9
 
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_rotated_blade_stops_when_its_gain_is_below_one_ulp(self, seed):
+        # the floor sqrt(13) is reached to rounding, and no restart stalls
+        a = _from_tensor(_rotate(blade(8, 1, 2, 3, 4).to_tensor(), _haar_rotation(seed)))
+        result = orbit_search(a)
+        assert result.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 0,
+                                "gain_below_ulp": 4}
+        assert abs(result.distance - np.sqrt(13)) < 1e-12
+
     @pytest.mark.parametrize("form", [2 * phi0().form, BROKEN_PHI0, blade(8, 1, 2, 3, 4)],
                              ids=["2phi0", "broken", "blade"])
     def test_no_construction_outside_the_orbit(self, form):

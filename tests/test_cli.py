@@ -106,7 +106,8 @@ class TestPhiCommands:
         payload = json.loads(out)
         assert abs(payload["orbit_distance_to_phi0"] - 13 ** 0.5) < 1e-9
         assert payload["orbit_method"] == "descent" and payload["orbit_residual"] is None
-        assert set(payload["orbit_stops"]) == {"gtol", "line_search_stall", "step_budget"}
+        assert set(payload["orbit_stops"]) == {"gtol", "line_search_stall", "step_budget",
+                                               "gain_below_ulp"}
         assert sum(payload["orbit_stops"].values()) == 4
 
     def test_check_fourteen_unit_terms_not_cayley(self, capsys, form_file):
@@ -283,7 +284,8 @@ class TestOtherCommands:
         assert [c["number"] for c in data["criteria"]] == list(range(1, 10))
         assert all(c["elapsed_s"] >= 0 and c["budget_s"] > 0 for c in data["criteria"])
         comass = data["criteria"][5]["diagnostics"]["comass"]
-        assert set(comass["stops"]) == {"gtol", "line_search_stall", "step_budget"}
+        assert set(comass["stops"]) == {"gtol", "line_search_stall", "step_budget",
+                                        "gain_below_ulp"}
         assert sum(comass["stops"].values()) == 64
         assert comass["iterations"] > 0 and comass["backtracks"] >= 0
         assert all(c["diagnostics"] == {} for c in data["criteria"] if c["number"] != 6)

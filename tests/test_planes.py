@@ -419,21 +419,47 @@ class TestOptimization:
     def test_stop_gtol_from_a_cayley_plane(self):
         # a Cayley plane maximizes the calibration: its gradient vanishes
         I = np.eye(8)
-        _, values, stop, iters, _ = _ascend(partial(CALIBRATION, I), I[None, :, :4],
-                                            500, 0.1, 1e-8)
+        _, values, stop, iters, _, gn = _ascend(partial(CALIBRATION, I), I[None, :, :4],
+                                                500, 0.1, 1e-8)
         assert STOP_REASONS[stop[0]] == "gtol" and iters[0] == 0 and values[0] == 1.0
+        assert gn[0] < 1e-8
 
-    def test_stop_line_search_stall_without_gtol(self):
+    def test_stop_gain_below_ulp_without_gtol(self):
+        # with no gradient threshold, a row ends once its step's first-order gain
+        # t |grad|^2 cannot move its value, a few halvings from the optimum
         V0 = random_planes_batch(4, np.random.default_rng(12))
-        _, values, stop, _, backtracks = _ascend(partial(CALIBRATION, np.eye(8)), V0,
-                                                 10_000, 0.1, 0.0)
+        _, values, stop, _, backtracks, _ = _ascend(partial(CALIBRATION, np.eye(8)), V0,
+                                                    10_000, 0.1, 0.0)
+        assert [STOP_REASONS[s] for s in stop] == ["gain_below_ulp"] * 4
+        assert np.all(backtracks <= 3) and np.all(np.abs(values - 1) <= 1e-15)
+
+    def test_stop_line_search_stall_on_a_wrong_gradient(self):
+        # a sign-flipped gradient never ascends: every row halves its step down
+        # to the 1e-13 floor while its gain is still resolvable
+        def flipped(W):
+            value, D, gn = CALIBRATION(np.eye(8), W)
+            return value, -D, gn
+
+        V0 = random_planes_batch(4, np.random.default_rng(12))
+        _, _, stop, iters, backtracks, _ = _ascend(flipped, V0, 10_000, 0.1, 0.0)
         assert [STOP_REASONS[s] for s in stop] == ["line_search_stall"] * 4
-        assert np.all(backtracks > 0) and np.all(np.abs(values - 1) < 1e-12)
+        assert np.all(iters == 0) and np.all(backtracks > 0)
 
     def test_stop_step_budget(self):
         res = comass(P0, restarts=4, steps=1, seed=0)
-        assert res.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 4}
+        assert res.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 4,
+                             "gain_below_ulp": 0}
         assert res.iterations == 4 and not res.converged and res.warning
+
+    def test_comass_stop_counts(self):
+        # every restart ends on gain_below_ulp after at most a few halvings, not
+        # on a ~40-halving line-search stall; the gradient norm is of the best row
+        res = comass(P0, restarts=64, seed=0)
+        assert res.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 0,
+                             "gain_below_ulp": 64}
+        assert res.backtracks <= 128 and abs(res.value - 1) <= 1e-15
+        _, _, gn = CALIBRATION(np.eye(8), res.plane.basis[None])
+        assert 0 < res.grad_norm < 1e-6 and abs(gn[0] - res.grad_norm) <= 1e-12
 
 
 class TestClosedFormWitness:

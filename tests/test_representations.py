@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cayley_workbench import representations as reps
-from cayley_workbench.cayley import ConventionMap, derivation_action, phi0, so8_basis_element
+from cayley_workbench.cayley import (ConventionMap, _derivation_on_blade, _row_nonzeros,
+                                     derivation_action, phi0, so8_basis_element)
 from cayley_workbench.forms import KForm, blade, blade_masks, coeffs_to_form, \
-    form_to_coeffs, hodge, wedge
+    form_to_coeffs, hodge, indices_of, wedge
 
 P0 = phi0()
 #: phi0 carried by a signed permutation: admissible, with another M
@@ -152,6 +153,20 @@ def _derivation_generators(k):
                      for p, q in combinations(range(1, 9), 2)]).transpose(0, 2, 1)
 
 
+def _generator_loop(k):
+    """The int8 generator table filled one blade at a time, one
+    ``_derivation_on_blade`` call per column."""
+    masks = blade_masks(8, k)
+    pos = {m: i for i, m in enumerate(masks)}
+    out = np.zeros((28, len(masks), len(masks)), dtype=np.int8)
+    for r, pq in enumerate(blade_masks(8, 2)):
+        rows = _row_nonzeros(so8_basis_element(*indices_of(pq)))
+        for col, m in enumerate(masks):
+            for mm, c in _derivation_on_blade(rows, m).items():
+                out[r, pos[mm], col] = c
+    return out
+
+
 def _trace_orthonormal_casimir(phi, k):
     """Sum of R(X)^2 over the spin(7) basis, each X scaled to tr(X^T X) = 1."""
     G = _derivation_generators(k)
@@ -169,6 +184,11 @@ class TestCasimirClosedForm:
     def test_equals_trace_orthonormal_sum(self, phi, k):
         C = reps.casimir_matrix(phi, k)
         assert np.max(np.abs(C - _trace_orthonormal_casimir(phi, k))) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_generator_table_matches_the_blade_loop(self, k):
+        G = reps._generator_matrices(k)
+        assert G.dtype == np.int8 and G.tobytes() == _generator_loop(k).tobytes()
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_eight_times_casimir_is_integral(self, k):
