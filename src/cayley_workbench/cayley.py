@@ -303,73 +303,69 @@ def _diff(got: KForm, want: KForm) -> list:
 # -- so(8) action and admissibility -------------------------------------------
 
 
-def so8_basis_element(p: int, q: int) -> list[list[int]]:
-    """E_pq = e_p (x) e_q - e_q (x) e_p as an exact integer matrix (1-based)."""
-    X = [[0] * 8 for _ in range(8)]
-    X[p - 1][q - 1] = 1
-    X[q - 1][p - 1] = -1
-    return X
+@lru_cache(maxsize=None)
+def _so_action(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How the generators E_pq = e_p (x) e_q - e_q (x) e_p of so(n) act on degree-k
+    blades: the nonzero entries (pair, target, source, sign) of their matrices.
 
-
-def _row_nonzeros(X) -> list[list[tuple[int, object]]]:
-    """Per row i of an so(n) element X, its nonzero entries as (1 << j, X[i][j])."""
-    return [[(1 << j, c) for j, c in enumerate(row) if c != 0] for row in X]
-
-
-def _derivation_on_blade(rows, mask: int) -> dict:
-    """Derivation action on one blade, as a sparse dict, of the so(n) element
-    whose nonzero entries are ``rows`` (see ``_row_nonzeros``).
-
-    Each factor dx^i of the blade is replaced by -sum_j X[i][j] dx^j, and
-    dx^j is sorted into place with the sign of the transpositions.
+    Pairs are indexed as blade_masks(n, 2) and blades as blade_masks(n, k).  E_pq
+    sends dx^p to -dx^q and dx^q to dx^p, so it moves a blade holding exactly one
+    of p, q to the blade with the other index in its place, with the sign of
+    sorting the new index into the place of the old one, and kills every other
+    blade: each source has at most one target per pair.  An antisymmetric X acts
+    as sum over p < q of X[p-1, q-1] E_pq.
     """
-    acc: dict = {}
-    for pos, i in enumerate(indices_of(mask)):
-        rest = mask ^ (1 << (i - 1))
-        for jbit, c in rows[i - 1]:  # empty for a zero row
-            if rest & jbit:
-                continue
-            below = (rest & (jbit - 1)).bit_count()
-            m2 = rest | jbit
-            acc[m2] = acc.get(m2, 0) + (c if (pos + below) % 2 else -c)
-    return acc
+    masks = np.array(blade_masks(n, k), dtype=np.intp)
+    row_of = np.zeros(1 << n, dtype=np.intp)
+    row_of[masks] = np.arange(len(masks))
+    pq = np.array(blade_masks(n, 2), dtype=np.intp)
+    old = masks & pq[:, None]  # the one index of the pair that a moved blade holds
+    pair, source = np.nonzero(np.bitwise_count(old) == 1)
+    old, m = old[pair, source], masks[source]
+    new, rest = pq[pair] ^ old, m ^ old
+    # bitwise_count returns uint8, on which 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(m & (old - 1)) + np.bitwise_count(rest & (new - 1))).astype(np.intp)
+    # dx^p -> -dx^q (the old index is the lower one), dx^q -> +dx^p
+    sign = np.where(old < new, -1, 1) * (1 - 2 * (parity & 1))
+    return pair, row_of[rest | new], source, sign
+
+
+def _action_rows(a: KForm) -> np.ndarray:
+    """The forms E_pq . a as rows over the pairs p < q, in the blade order of
+    blade_masks(a.n, a.degree): Python int/Fraction entries in an object array
+    when a's coefficients are exact, floats otherwise (complex for a complex form)."""
+    pair, target, source, sign = _so_action(a.n, a.degree)
+    values = a.terms.values()
+    dtype = object if all(isinstance(c, (int, Fraction)) for c in values) \
+        else complex if any(isinstance(c, complex) for c in values) else float
+    v = np.array([a.terms.get(m, 0) for m in blade_masks(a.n, a.degree)], dtype=dtype)
+    rows = np.zeros((a.n * (a.n - 1) // 2, len(v)), dtype=v.dtype)
+    rows[pair, target] = sign * v[source]
+    return rows
 
 
 def derivation_action(X, a: KForm) -> KForm:
-    """Infinitesimal so(n) action: the degree-0 derivation extending
-    dx^i -> -sum_j X[i][j] dx^j, summed blade by blade.  Exact for exact
+    """Infinitesimal so(n) action of an antisymmetric n x n matrix X: the
+    degree-0 derivation extending dx^i -> -sum_j X[i][j] dx^j.  Exact for exact
     inputs."""
-    rows = _row_nonzeros(X)
-    acc: dict = {}
-    for mask, c in a.terms.items():
-        for m2, x in _derivation_on_blade(rows, mask).items():
-            acc[m2] = acc.get(m2, 0) + c * x
-    return KForm(a.n, a.degree, acc)
+    X = np.asarray(X)
+    if X.shape != (a.n, a.n) or not (X == -X.T).all():
+        raise ValueError(f"derivation_action needs an antisymmetric {a.n} x {a.n} matrix")
+    coeffs = X[np.triu_indices(a.n, 1)] @ _action_rows(a)
+    return KForm(a.n, a.degree, dict(zip(blade_masks(a.n, a.degree), coeffs.tolist())))
 
 
 def stabilizer_dimension(a: KForm) -> int:
-    """dim of the annihilator of ``a`` inside so(8) under the derivation action.
+    """dim of the annihilator of ``a`` inside so(n) under the derivation action.
 
     Exact rank over the rationals, in integer arithmetic, when all
     coefficients are exact (int/Fraction); SVD-based numerical rank otherwise.
     """
-    masks = blade_masks(8, a.degree)
-    col_of = {m: c for c, m in enumerate(masks)}
-    rows = []
-    exact = all(isinstance(c, (int, Fraction)) for c in a.terms.values())
-    for p, q in combinations(range(1, 9), 2):
-        img = derivation_action(so8_basis_element(p, q), a)
-        row = [0] * len(masks)
-        for m, c in img.terms.items():
-            row[col_of[m]] = c
-        rows.append(row)
-    if exact:
-        rank = _exact_rank(rows)
-    else:
-        M = np.array(rows, dtype=float)
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.sum(s > 1e-9 * (s[0] if s.size and s[0] > 0 else 1.0)))
-    return 28 - rank
+    rows = _action_rows(a)
+    if rows.dtype == object:
+        return len(rows) - _exact_rank(rows.tolist())
+    s = np.linalg.svd(rows, compute_uv=False)
+    return len(rows) - int(np.sum(s > 1e-9 * (s[0] if s.size and s[0] > 0 else 1.0)))
 
 
 def _primitive(ints: list[int]) -> list[int]:

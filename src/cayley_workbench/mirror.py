@@ -23,10 +23,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .cayley import as_cayley, as_kform
+from .cayley import as_kform
 from .forms import KForm, blade_masks, flat, form_to_coeffs, interior, wedge
-from .planes import ACS, Frame4, Plane4, _outer, _pair_contraction, acs_from_2frame, \
-    calibration_value, is_cayley_free, orthonormal_frame
+from .planes import ACS, Frame4, Plane4, _acs_parts, _outer, calibration_value, \
+    is_cayley_free, orthonormal_frame
 
 #: composite K counts as an almost complex structure below these residuals
 ACS_TOL = 1e-9
@@ -130,8 +130,8 @@ def su3_from_2frame(u, v, phi) -> SU3Structure:
     """
     F = orthonormal_frame([u, v])
     uu, vv = F[..., 0], F[..., 1]
-    J = acs_from_2frame(uu, vv, phi).J
-    P = np.eye(8) - _outer(uu, uu) - _outer(vv, vv)
+    J, N, P = _acs_parts(uu, vv, phi)
+    J += _outer(vv, uu) - _outer(uu, vv)  # the extension of acs_from_2frame
     cols = []
     for _ in range(3):
         mass = np.linalg.norm(P, axis=-2)
@@ -148,7 +148,6 @@ def su3_from_2frame(u, v, phi) -> SU3Structure:
         cols += [f, b]
         P = P - _outer(f, f) - _outer(b, b)
     W = np.stack(cols, axis=-1)
-    N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), uu, vv)
     return SU3Structure(uu, vv, W, J, np.swapaxes(W, -1, -2) @ N @ W)
 
 

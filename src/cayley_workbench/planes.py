@@ -111,7 +111,8 @@ class Plane4:
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Plane4":
-        return Plane4(orthonormal_frame(rng.normal(size=(8, 4)).T))
+        """One Haar-random oriented 4-plane: a batch of one of ``random_planes_batch``."""
+        return Plane4(random_planes_batch(1, rng)[0])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
@@ -157,6 +158,15 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
+def _acs_parts(uu, vv, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P N^T P, N, P) of an orthonormal 2-frame (u, v), or of (N, 8) stacks: the
+    raw operator, the contraction N = phi(u, v, ., .) as a matrix, taken once,
+    and the projector P onto span{u,v}-perp."""
+    N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), uu, vv)
+    P = np.eye(8) - _outer(uu, uu) - _outer(vv, vv)
+    return P @ np.swapaxes(N, -1, -2) @ P, N, P
+
+
 def acs_contraction_matrix(u, v, phi) -> np.ndarray:
     """The raw operator of the 2-form phi(u, v, ., .) on span{u,v}-perp.
 
@@ -165,10 +175,7 @@ def acs_contraction_matrix(u, v, phi) -> np.ndarray:
     be (N, 8) stacks, giving (N, 8, 8).
     """
     F = orthonormal_frame([u, v])
-    uu, vv = F[..., 0], F[..., 1]
-    N = _pair_contraction(as_cayley(phi).tensor.reshape(64, 64), uu, vv)
-    P = np.eye(8) - _outer(uu, uu) - _outer(vv, vv)
-    return P @ np.swapaxes(N, -1, -2) @ P
+    return _acs_parts(F[..., 0], F[..., 1], phi)[0]
 
 
 def acs_from_2frame(u, v, phi) -> ACS:
@@ -181,7 +188,7 @@ def acs_from_2frame(u, v, phi) -> ACS:
     """
     F = orthonormal_frame([u, v])
     uu, vv = F[..., 0], F[..., 1]
-    J = acs_contraction_matrix(uu, vv, phi)
+    J = _acs_parts(uu, vv, phi)[0]
     J += _outer(vv, uu) - _outer(uu, vv)
     return ACS(J)
 
@@ -500,8 +507,9 @@ def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
     subspace itself, for m = 5 the plane n-perp of ``five_plane_comass``, and for
     m = 6..8, when phi is in phi0's orbit (``CayleyForm.orbit_rotation``), the
     Cayley plane n-perp of the first five columns, since phi's comass is 1.
-    Otherwise restart r ascends from the Q factor of
-    default_rng(seed + r).normal(size=(m, 4)), all restarts as one stack.
+    Otherwise restart r of R ascends from the Q factor of
+    default_rng(R * seed + r).normal(size=(m, 4)), all restarts as one stack, so
+    different seeds share no start.
     ``found_cayley(result, tol)`` certifies the witness at ``value >= 1 - tol``.
     """
     S = np.asarray(subspace if isinstance(subspace, np.ndarray) else np.column_stack(subspace),
@@ -520,8 +528,8 @@ def contains_cayley(subspace, phi, restarts: int = 16, steps: int = 500,
 
 def _search(S: np.ndarray, phi, restarts: int, steps: int, seed: int) -> AscentResult:
     """Multistart ascent of the calibration value over the 4-planes of span(S)."""
-    W0 = _orthonormal_stack(np.stack([np.random.default_rng(seed + r).normal(size=(S.shape[1], 4))
-                                      for r in range(restarts)]))
+    W0 = _orthonormal_stack(np.stack([np.random.default_rng(restarts * seed + r)
+                                      .normal(size=(S.shape[1], 4)) for r in range(restarts)]))
     objective = partial(_value_and_grad, as_cayley(phi).tensor.reshape(64, 64), S)
     frames, values, stop, iters, backs, gn = _ascend(objective, W0, steps, 0.1, gtol=1e-8)
     b = int(np.argmax(values))

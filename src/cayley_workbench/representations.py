@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .cayley import CayleyForm, as_cayley, as_kform
+from .cayley import CayleyForm, _so_action, as_cayley, as_kform
 from .forms import (KForm, blade_masks, coeffs_to_form, form_to_coeffs, hodge, indices_of,
                     lambda2_matrix)
 
@@ -127,31 +128,17 @@ def spin7_lie_algebra(phi) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _generator_matrices(k: int) -> np.ndarray:
-    """Stacked matrices of the derivation action of E_pq on degree-k blades.
+    """Stacked int8 matrices of the derivation action of E_pq on degree-k blades.
 
-    Index order matches blade_masks(8, 2): entry r is the generator for
-    the r-th pair (p, q), p < q.  The action of a general antisymmetric X
-    is then sum over pairs of X[p-1, q-1] times these (X identified with
-    sum X_pq E_pq over p < q).  Entries are 0 and +-1, stored as int8.
-
-    E_pq sends dx^p to -dx^q and dx^q to dx^p, so it moves a blade holding
-    exactly one of p, q to the blade with the other index in its place, and
-    kills every other blade: each column has at most one nonzero, which is
-    gathered from index arrays.  The sign is that of sorting the new index
-    into the place of the old one (as in ``cayley._derivation_on_blade``).
+    Index order matches blade_masks(8, 2): entry r is the generator for the
+    r-th pair (p, q), p < q, so an antisymmetric X acts as the sum over pairs of
+    X[p-1, q-1] times these.  The entries, 0 and +-1, are scattered from
+    ``cayley._so_action``, the one table of that action.
     """
-    masks = np.array(blade_masks(8, k))
-    row_of = np.zeros(1 << 8, dtype=np.intp)
-    row_of[masks] = np.arange(len(masks))
-    pq = np.array(blade_masks(8, 2))
-    old = masks & pq[:, None]  # the one index of the pair that a moved blade holds
-    r, col = np.nonzero(np.bitwise_count(old) == 1)
-    old, m = old[r, col], masks[col]
-    new, rest = pq[r] ^ old, m ^ old
-    parity = np.bitwise_count(m & (old - 1)) + np.bitwise_count(rest & (new - 1))
-    out = np.zeros((28, len(masks), len(masks)), dtype=np.int8)
-    # dx^p -> -dx^q (the old index is the lower one), dx^q -> +dx^p
-    out[r, row_of[rest | new], col] = np.where(old < new, -1, 1) * (1 - 2 * (parity & 1))
+    pair, target, source, sign = _so_action(8, k)
+    n = comb(8, k)
+    out = np.zeros((28, n, n), dtype=np.int8)
+    out[pair, target, source] = sign
     return out
 
 

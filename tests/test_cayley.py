@@ -10,14 +10,20 @@ import pytest
 
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import (BestMismatch, CayleyForm, ConventionMap,
-                                     _exact_rank, admissibility_report, derivation_action,
-                                     orbit_distance, orbit_search, phi0,
-                                     phi_octonionic, reconcile, so8_basis_element,
-                                     stabilizer_dimension)
+                                     _action_rows, _exact_rank, admissibility_report,
+                                     derivation_action, orbit_distance, orbit_search, phi0,
+                                     phi_octonionic, reconcile, stabilizer_dimension)
 from cayley_workbench.forms import (KForm, blade, blade_masks, evaluate, hodge,
                                     indices_of, inner, volume_form, wedge)
 
 BROKEN_PHI0 = KForm(8, 4, {**phi0().form.terms, 0b1111: -1})  # dx1234 flipped
+
+
+def _generator(p, q):
+    """E_pq = e_p (x) e_q - e_q (x) e_p as an exact integer matrix (1-based)."""
+    X = [[0] * 8 for _ in range(8)]
+    X[p - 1][q - 1], X[q - 1][p - 1] = 1, -1
+    return X
 
 
 class TestPhi0:
@@ -268,8 +274,11 @@ class TestExactRank:
         rng = np.random.default_rng(33)
         dense = KForm(8, 4, {m: int(rng.integers(-10**6, 10**6 + 1)) for m in blade_masks(8, 4)})
         big_phi0 = 999_983 * phi0().form
+        huge_phi0 = 10**30 * phi0().form  # past int64: the rows must hold Python ints
+        assert {type(c) for c in _action_rows(huge_phi0).flat} == {int}
         start = time.process_time()
         assert stabilizer_dimension(big_phi0) == 21
+        assert stabilizer_dimension(huge_phi0) == 21
         assert stabilizer_dimension(dense) == stabilizer_dimension(_float_copy(dense))
         assert time.process_time() - start < 2.0  # ~30 ms measured
 
@@ -286,17 +295,35 @@ class TestDerivationAction:
         f = phi0().form
         imgs = []
         for p, q in combinations(range(1, 9), 2):
-            img = derivation_action(so8_basis_element(p, q), f)
+            img = derivation_action(_generator(p, q), f)
             imgs.append([img.terms.get(m, 0) for m in blade_masks(8, 4)])
         rank = np.linalg.matrix_rank(np.array(imgs, dtype=float))
         assert rank == 7
 
     def test_derivation_leibniz(self):
-        X = so8_basis_element(2, 5)
-        a, b = blade(8, 1, 2), blade(8, 3, 5)
-        lhs = derivation_action(X, wedge(a, b))
-        rhs = wedge(derivation_action(X, a), b) + wedge(a, derivation_action(X, b))
-        assert lhs == rhs
+        # X(a ^ b) = Xa ^ b + a ^ Xb ties the signs of every degree to those of
+        # degree 1: one generator on two blades, then random integer X on random
+        # exact forms of every pair of degrees
+        cases = [(_generator(2, 5), blade(8, 1, 2), blade(8, 3, 5))]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            U = np.triu(rng.integers(-3, 4, size=(8, 8)), 1)
+            X = (U - U.T).tolist()
+            cases += [(X, _random_exact_form(rng, i, int(rng.integers(1, 6)), fractions=i % 2),
+                       _random_exact_form(rng, j, int(rng.integers(1, 6))))
+                      for i in range(9) for j in range(9 - i)]
+        for X, a, b in cases:
+            lhs = derivation_action(X, wedge(a, b))
+            rhs = wedge(derivation_action(X, a), b) + wedge(a, derivation_action(X, b))
+            assert lhs == rhs
+
+    def test_non_antisymmetric_matrix_is_rejected(self):
+        X = _generator(1, 2)
+        X[0][0] = 1
+        with pytest.raises(ValueError, match="antisymmetric"):
+            derivation_action(X, phi0().form)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            derivation_action(np.eye(8)[:7], phi0().form)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_rows_match_dense_scan(self, seed):

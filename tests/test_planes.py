@@ -403,18 +403,24 @@ class TestOptimization:
         R, seed = 6, 5
         rng = np.random.default_rng(11)
         subs = [orthonormal_frame(rng.normal(size=(8, 6)).T) for _ in range(3)]
-        # R restarts in one stack vs R batch-of-one calls seeded seed + r
+        # R restarts in one stack vs R batch-of-one calls seeded R * seed + r
         searches = [(comass(P0, restarts=R, steps=200, seed=seed),
-                     [comass(P0, restarts=1, steps=200, seed=seed + r) for r in range(R)])]
+                     [comass(P0, restarts=1, steps=200, seed=R * seed + r) for r in range(R)])]
         # 2 phi0 is outside phi0's orbit, so its 6-plane questions still search
         searches += [(contains_cayley(S, TWO_PHI0, restarts=R, seed=seed),
-                      [contains_cayley(S, TWO_PHI0, restarts=1, seed=seed + r)
+                      [contains_cayley(S, TWO_PHI0, restarts=1, seed=R * seed + r)
                        for r in range(R)])
                      for S in subs]
         for res, singles in searches:
             assert abs(res.value - max(s.value for s in singles)) <= 1e-12
             assert min(np.max(np.abs(res.plane.basis - s.plane.basis)) for s in singles) <= 1e-12
             assert res.iterations == sum(s.iterations for s in singles)
+
+    def test_seeds_share_no_start(self):
+        # restart r of R at seed s starts from default_rng(R * s + r): consecutive
+        # seeds draw disjoint starts and end on different witnesses
+        grad_norms = {comass(P0, 64, seed=s).grad_norm for s in range(4)}
+        assert len(grad_norms) == 4
 
     def test_stop_gtol_from_a_cayley_plane(self):
         # a Cayley plane maximizes the calibration: its gradient vanishes

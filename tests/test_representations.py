@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from cayley_workbench import representations as reps
-from cayley_workbench.cayley import (ConventionMap, _derivation_on_blade, _row_nonzeros,
-                                     derivation_action, phi0, so8_basis_element)
+from cayley_workbench.cayley import ConventionMap, derivation_action, phi0
 from cayley_workbench.forms import KForm, blade, blade_masks, coeffs_to_form, \
     form_to_coeffs, hodge, indices_of, wedge
 
@@ -142,15 +141,38 @@ class TestCasimir:
         assert np.linalg.norm(C - C.T) < 1e-12
 
 
+def _generator(p, q):
+    """E_pq = e_p (x) e_q - e_q (x) e_p as an exact integer matrix (1-based)."""
+    X = [[0] * 8 for _ in range(8)]
+    X[p - 1][q - 1], X[q - 1][p - 1] = 1, -1
+    return X
+
+
 @lru_cache(maxsize=None)
 def _derivation_generators(k):
     """G[r] = matrix of E_pq (r-th pair p < q) acting on degree-k blades, one
     derivation_action call per blade."""
     masks = blade_masks(8, k)
-    return np.array([[form_to_coeffs(derivation_action(so8_basis_element(p, q),
+    return np.array([[form_to_coeffs(derivation_action(_generator(p, q),
                                                        KForm(8, k, {m: 1})), masks)
                       for m in masks]
                      for p, q in combinations(range(1, 9), 2)]).transpose(0, 2, 1)
+
+
+def _derivation_on_blade(X, mask):
+    """Reference: the derivation of X on one blade, as a sparse dict.  Each factor
+    dx^i is replaced by -sum_j X[i][j] dx^j, and dx^j is sorted into place with
+    the sign of the transpositions."""
+    acc = {}
+    for pos, i in enumerate(indices_of(mask)):
+        rest = mask ^ (1 << (i - 1))
+        for j, c in enumerate(X[i - 1]):
+            jbit = 1 << j
+            if c == 0 or rest & jbit:
+                continue
+            below = (rest & (jbit - 1)).bit_count()
+            acc[rest | jbit] = acc.get(rest | jbit, 0) + (c if (pos + below) % 2 else -c)
+    return acc
 
 
 def _generator_loop(k):
@@ -160,9 +182,9 @@ def _generator_loop(k):
     pos = {m: i for i, m in enumerate(masks)}
     out = np.zeros((28, len(masks), len(masks)), dtype=np.int8)
     for r, pq in enumerate(blade_masks(8, 2)):
-        rows = _row_nonzeros(so8_basis_element(*indices_of(pq)))
+        X = _generator(*indices_of(pq))
         for col, m in enumerate(masks):
-            for mm, c in _derivation_on_blade(rows, m).items():
+            for mm, c in _derivation_on_blade(X, m).items():
                 out[r, pos[mm], col] = c
     return out
 
