@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import octonions
-from .forms import KForm, _inversion_sign, _lambda2_block, blade_masks, hodge, indices_of, inner
+from .forms import KForm, _lambda2_block, blade_masks, hodge, indices_of, inner, merge_sign
 
 # 14 blades of the standard coordinate Cayley form, with signs.
 _PHI0_TERMS = {
@@ -62,9 +62,6 @@ class ConventionMap:
     def identity() -> ConventionMap:
         return ConventionMap(tuple(range(1, 9)), (1,) * 8)
 
-    def is_identity(self) -> bool:
-        return self == ConventionMap.identity()
-
     def inverse(self) -> ConventionMap:
         inv_perm = [0] * 8
         inv_signs = [1] * 8
@@ -86,17 +83,26 @@ class ConventionMap:
         return g
 
     def transport(self, a: KForm) -> KForm:
-        """Push a form forward: dx^i -> signs[i-1] dx^{perm[i-1]}."""
+        """Push a form forward: dx^i -> signs[i-1] dx^{perm[i-1]}.
+
+        A blade dx^{i1} ^ ... ^ dx^{ik} goes to the wedge of its images in that
+        order: the image mask is built bit by bit, each factor placed with
+        ``merge_sign`` and weighted by its sign.  The coefficient is multiplied
+        once by the integer sign, so complex signed zeros stay as they are.
+        The map is a bijection of blades, so no two blades share an image.
+        """
         terms = {}
         for mask, c in a.terms.items():
-            image = [self.perm[i - 1] for i in indices_of(mask)]
-            sign = 1
-            for i in indices_of(mask):
-                sign *= self.signs[i - 1]
-            sign *= _inversion_sign(image)
-            key = tuple(sorted(image))
-            terms[key] = terms.get(key, 0) + sign * c
-        return KForm.from_terms(a.n, a.degree, terms)
+            image, sign = 0, 1
+            while mask:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                bit = 1 << (self.perm[i] - 1)
+                sign *= self.signs[i] * merge_sign(image, bit)
+                image |= bit
+                mask ^= low
+            terms[image] = sign * c
+        return KForm(a.n, a.degree, terms)
 
     def to_json_dict(self) -> dict:
         return {"perm": list(self.perm), "signs": list(self.signs)}
@@ -157,19 +163,15 @@ def _phi_oct_base() -> KForm:
     E = np.eye(8)
     crossed = octonions.cross3(E[quads[:, 0]], E[quads[:, 1]], E[quads[:, 2]])
     vals = np.rint(crossed[np.arange(len(quads)), quads[:, 3]]).astype(int).tolist()
-    return KForm.from_terms(8, 4, {tuple(q): v for q, v in zip((quads + 1).tolist(), vals) if v})
+    return KForm.from_terms(8, 4, {tuple(q): v for q, v in zip((quads + 1).tolist(), vals)})
 
 
-def phi_octonionic(convention: ConventionMap | None = None) -> CayleyForm:
+def phi_octonionic() -> CayleyForm:
     """Cayley form built from <x cross y cross z, w> on basis quadruples.
 
-    Octonion coordinate i is identified with R^8 coordinate i+1; an
-    optional convention map re-labels the result.
+    Octonion coordinate i is identified with R^8 coordinate i+1.
     """
-    base = _phi_oct_base()
-    if convention is None or convention.is_identity():
-        return CayleyForm(base, "octonionic")
-    return CayleyForm(convention.transport(base), "octonionic")
+    return CayleyForm(_phi_oct_base(), "octonionic")
 
 
 # -- reconciliation -----------------------------------------------------------
@@ -185,7 +187,6 @@ class BestMismatch:
     examined: int
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _PERMS_OF_6 = np.array(list(permutations(range(6))), dtype=np.uint8)  # lexicographic
 
 
@@ -231,7 +232,7 @@ def reconcile(a, b):
     # the parity of sign pattern x over each blade of a, as packed bits; keep
     # each distinct word once, with the lowest x that gives it
     flips = np.arange(256, dtype=np.uint8)[:, None] & np.array(masks, dtype=np.uint8)
-    parity = np.packbits(_POPCOUNT[flips] & 1, axis=1)
+    parity = np.packbits(np.bitwise_count(flips) & 1, axis=1)
     lowest: dict[bytes, int] = {}
     for x, word in enumerate(parity):
         lowest.setdefault(word.tobytes(), x)
@@ -246,8 +247,8 @@ def reconcile(a, b):
         hit = target != 0
         odd = (images[..., left] > images[..., right]).sum(-1, dtype=np.uint8) & 1
         need = (odd == 1) ^ negative_a ^ (target < 0)
-        wrong = _POPCOUNT[(np.packbits(need, axis=1)[:, None] ^ words)
-                          & np.packbits(hit, axis=1)[:, None]].sum(-1, dtype=np.intp)
+        wrong = np.bitwise_count((np.packbits(need, axis=1)[:, None] ^ words)
+                                 & np.packbits(hit, axis=1)[:, None]).sum(-1, dtype=np.intp)
         cost = wrong.min(1) + 2 * (n - hit.sum(1))
         r = int(cost.argmin())
         if best is None or cost[r] < best[0]:

@@ -79,8 +79,10 @@ def merge_sign(a: int, b: int) -> int:
 class KForm:
     """Immutable sparse alternating k-form on R^n.
 
-    ``terms`` maps blade bitmask -> coefficient and never stores explicit
-    zeros.  Treat instances as values: every operation returns a new form.
+    ``terms`` maps blade bitmask -> coefficient.  The constructor alone
+    normalises: it validates every blade, drops zero coefficients and
+    stores a dict of its own, so later changes to the caller's dict do not
+    reach the form.  Every operation returns a new form.
     """
 
     n: int
@@ -92,26 +94,27 @@ class KForm:
             raise ValueError(f"ambient dimension must be 1..{MAX_DIM}, got {self.n}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        for mask in self.terms:
-            if mask.bit_count() != self.degree or mask >> self.n:
+        n, degree, terms = self.n, self.degree, {}
+        for mask, c in self.terms.items():
+            if mask.bit_count() != degree or mask >> n:
                 raise ValueError(f"blade {indices_of(mask)} invalid for degree "
-                                 f"{self.degree} on R^{self.n}")
-        if any(c == 0 for c in self.terms.values()):
-            object.__setattr__(self, "terms",
-                               {m: c for m, c in self.terms.items() if c != 0})
+                                 f"{degree} on R^{n}")
+            if c != 0:
+                terms[mask] = c
+        object.__setattr__(self, "terms", terms)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_terms(n: int, degree: int, terms: dict) -> KForm:
         """Build from {ascending index tuple -> coefficient}."""
-        acc = {}
+        by_mask = {}
         for idx, c in terms.items():
             m = mask_of(idx, n)
             if len(idx) != degree:
                 raise ValueError(f"blade {idx} has wrong length for degree {degree}")
-            acc[m] = acc.get(m, 0) + c
-        return _kform(n, degree, acc)
+            by_mask[m] = c
+        return KForm(n, degree, by_mask)
 
     @staticmethod
     def zero(n: int, degree: int) -> KForm:
@@ -140,14 +143,14 @@ class KForm:
 
     def conjugate(self) -> KForm:
         """Complex-conjugate the coefficients (identity on real forms)."""
-        return _kform(self.n, self.degree,
-                      {m: c.conjugate() if isinstance(c, complex) else c
-                       for m, c in self.terms.items()})
+        return KForm(self.n, self.degree,
+                     {m: c.conjugate() if isinstance(c, complex) else c
+                      for m, c in self.terms.items()})
 
     def chop(self, tol: float = 0.0) -> KForm:
         """Drop coefficients with |c| <= tol."""
-        return _kform(self.n, self.degree,
-                      {m: c for m, c in self.terms.items() if abs(c) > tol})
+        return KForm(self.n, self.degree,
+                     {m: c for m, c in self.terms.items() if abs(c) > tol})
 
     def __repr__(self):
         if not self.terms:
@@ -173,21 +176,21 @@ class KForm:
         for m, c in other.terms.items():
             acc[m] = acc.get(m, 0) + c
         deg = self.degree if self.terms or not other.terms else other.degree
-        return _kform(self.n, deg, acc)
+        return KForm(self.n, deg, acc)
 
     def __sub__(self, other: KForm) -> KForm:
         return self + (-other)
 
     def __neg__(self) -> KForm:
-        return _kform(self.n, self.degree, {m: -c for m, c in self.terms.items()})
+        return KForm(self.n, self.degree, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, scalar) -> KForm:
         if isinstance(scalar, KForm):
             raise TypeError("use ^ for the wedge product")
         if scalar == 0:
             return KForm.zero(self.n, self.degree)
-        return _kform(self.n, self.degree,
-                      {m: c * scalar for m, c in self.terms.items()})
+        return KForm(self.n, self.degree,
+                     {m: c * scalar for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -247,10 +250,6 @@ def _permutation_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(perms, dtype=np.intp), np.array(odd, dtype=np.intp)
 
 
-def _kform(n: int, degree: int, terms: dict) -> KForm:
-    return KForm(n, degree, {m: c for m, c in terms.items() if c != 0})
-
-
 def _inversion_sign(seq) -> int:
     """Sign of the permutation sorting ``seq`` ascending (inversion count)."""
     sign = 1
@@ -277,7 +276,7 @@ def blade(n: int, *indices: int) -> KForm:
 
 
 def scalar_form(n: int, c) -> KForm:
-    return _kform(n, 0, {0: c})
+    return KForm(n, 0, {0: c})
 
 
 def volume_form(n: int) -> KForm:
@@ -304,7 +303,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
                 continue
             m = ma | mb
             acc[m] = acc.get(m, 0) + merge_sign(ma, mb) * ca * cb
-    return _kform(a.n, deg, acc)
+    return KForm(a.n, deg, acc)
 
 
 def hodge(a: KForm) -> KForm:
@@ -319,7 +318,7 @@ def hodge(a: KForm) -> KForm:
     for m, c in a.terms.items():
         comp = full ^ m
         acc[comp] = merge_sign(m, comp) * c
-    return _kform(a.n, a.n - a.degree, acc)
+    return KForm(a.n, a.n - a.degree, acc)
 
 
 def interior(v: Vector, a: KForm) -> KForm:
@@ -339,12 +338,12 @@ def interior(v: Vector, a: KForm) -> KForm:
                 acc[m] = acc.get(m, 0) + term
             rem ^= low
             pos += 1
-    return _kform(a.n, a.degree - 1, acc)
+    return KForm(a.n, a.degree - 1, acc)
 
 
 def flat(v: Vector, n: int) -> KForm:
     """Musical isomorphism: v^flat(x) = <v, x> in the Euclidean metric."""
-    return _kform(n, 1, {1 << i: v[i] for i in range(n) if v[i] != 0})
+    return KForm(n, 1, {1 << i: v[i] for i in range(n)})
 
 
 def evaluate(a: KForm, vectors: Sequence[Vector]):
@@ -380,12 +379,8 @@ def restrict(a: KForm, basis: Sequence[Vector], tol: float = 1e-9) -> KForm:
     m = len(basis)
     if gram_defect(basis) > tol:
         raise ValueError("restriction basis is not orthonormal within tolerance")
-    acc = {}
-    for combo in combinations(range(m), a.degree):
-        c = evaluate(a, [basis[j] for j in combo])
-        if c != 0:
-            acc[sum(1 << j for j in combo)] = c
-    return _kform(m, a.degree, acc)
+    return KForm(m, a.degree, {sum(1 << j for j in combo): evaluate(a, [basis[j] for j in combo])
+                               for combo in combinations(range(m), a.degree)})
 
 
 # -- blade-basis linear algebra helpers --------------------------------------
@@ -412,11 +407,5 @@ def form_to_coeffs(a: KForm, masks: Sequence[int]) -> np.ndarray:
     return np.array([float(a.terms.get(m, 0)) for m in masks])
 
 
-def coeffs_to_form(n: int, k: int, vec: Sequence, masks: Sequence[int],
-                   chop: float = 0.0) -> KForm:
-    terms = {}
-    for m, c in zip(masks, vec):
-        c = float(c)
-        if abs(c) > chop:
-            terms[m] = c
-    return KForm(n, k, terms)
+def coeffs_to_form(n: int, k: int, vec: Sequence, masks: Sequence[int]) -> KForm:
+    return KForm(n, k, {m: float(c) for m, c in zip(masks, vec)})

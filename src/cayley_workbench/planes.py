@@ -230,40 +230,40 @@ def standard_convention() -> ConventionMap:
     return result
 
 
-def octonionic_residual(plane, convention: ConventionMap | None = None):
+def octonionic_residual(plane):
     """Residual of the octonion Cayley identity on an orthonormal frame.
 
     ``plane`` is a Plane4, an orthonormal 8 x 4 frame, an (N, 8, 4) stack
     of them (one residual each) or a sequence of four vectors, which is
     orthonormalized first.  The frame is pulled back to octonion
-    coordinates through the convention map (default: the reconciled one),
-    where the residual vanishes exactly on Cayley 4-planes.
+    coordinates through ``standard_convention()``, where the residual
+    vanishes exactly on Cayley 4-planes.
     """
     if isinstance(plane, Plane4):
         B = plane.basis
     else:
         B = plane if isinstance(plane, np.ndarray) else orthonormal_frame(plane)
-    pulled = (convention or standard_convention()).matrix().T @ B
+    pulled = standard_convention().matrix().T @ B
     return octonions.cayley_identity_residual(*np.moveaxis(pulled, -1, 0))
 
 
-def is_cayley_octonionic(plane, convention: ConventionMap | None = None,
-                         tol: float = DEFAULT_CAYLEY_TOL):
+def is_cayley_octonionic(plane, tol: float = DEFAULT_CAYLEY_TOL):
     """Cayley test through the octonion identity; see octonionic_residual."""
-    return octonionic_residual(plane, convention) < tol
+    return octonionic_residual(plane) < tol
 
 
-def triple_cross(u, v, w, convention: ConventionMap | None = None) -> np.ndarray:
+def triple_cross(u, v, w) -> np.ndarray:
     """Octonion triple cross product expressed in R^8 coordinates.
 
     u, v, w may be (N, 8) stacks.  Row vectors x map to octonion
-    coordinates as x @ G and back as y @ G^T, G the convention's matrix.
+    coordinates as x @ G and back as y @ G^T, G the matrix of
+    ``standard_convention()``.
     """
-    G = (convention or standard_convention()).matrix()
+    G = standard_convention().matrix()
     return octonions.cross3(*(np.asarray(x, dtype=float) @ G for x in (u, v, w))) @ G.T
 
 
-def cayley_plane_from_3frame(u, v, w, convention: ConventionMap | None = None):
+def cayley_plane_from_3frame(u, v, w):
     """The unique Cayley plane spanned by an independent triple.
 
     Completes the orthonormalized triple with its triple cross product;
@@ -271,7 +271,7 @@ def cayley_plane_from_3frame(u, v, w, convention: ConventionMap | None = None):
     v, w the result is the (N, 8, 4) stack of orthonormal frames.
     """
     F = orthonormal_frame([u, v, w])
-    x = triple_cross(F[..., 0], F[..., 1], F[..., 2], convention)
+    x = triple_cross(F[..., 0], F[..., 1], F[..., 2])
     B = np.concatenate([F, x[..., None]], axis=-1)
     return Plane4(B) if B.ndim == 2 else B
 

@@ -90,7 +90,7 @@ class TestConventionMap:
         gi = g.inverse()
         x = tuple(range(1, 9))
         assert gi.apply_to_vector(g.apply_to_vector(x)) == x
-        assert ConventionMap.identity().is_identity()
+        assert ConventionMap.identity().apply_to_vector(x) == x
 
     def test_transport_matches_vector_action(self):
         g = ConventionMap((2, 3, 1, 5, 4, 6, 8, 7), (1, 1, -1, 1, 1, -1, 1, 1))
@@ -100,6 +100,19 @@ class TestConventionMap:
         vs = [rng.normal(size=8) for _ in range(4)]
         pulled = [g.inverse().apply_to_vector(v) for v in vs]
         assert abs(evaluate(moved, vs) - evaluate(f, pulled)) < 1e-10
+
+    def test_transport_is_an_algebra_map(self):
+        # transport(dx^i) is the definition; with transport(a ^ b) =
+        # transport(a) ^ transport(b) it fixes every sign in every degree
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            g = ConventionMap(tuple(int(x) + 1 for x in rng.permutation(8)),
+                              tuple(int(s) for s in rng.choice([-1, 1], size=8)))
+            for i in range(1, 9):
+                assert g.transport(blade(8, i)) == g.signs[i - 1] * blade(8, g.perm[i - 1])
+            a, b = (_random_exact_form(rng, int(k), int(rng.integers(1, 6)), fractions=k % 2)
+                    for k in rng.integers(0, 5, size=2))
+            assert g.transport(a ^ b) == g.transport(a) ^ g.transport(b)
 
     def test_matrix_is_orthogonal(self):
         g = ConventionMap((2, 3, 1, 5, 4, 6, 8, 7), (1, 1, -1, 1, 1, -1, 1, 1))

@@ -210,6 +210,13 @@ class TestFrameCommands:
         assert lines[0].startswith("identity,")
         assert len(lines) == 4
 
+    def test_extract_on_the_zero_form(self, capsys, form_file):
+        code, out, _ = run_cli(capsys, "frame", "extract", "--identity", "1",
+                               "--samples", "20", "--phi", form_file(KForm.zero(8, 4)))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["c_a"], payload["c_b"]) == (0, 0)
+
     def test_extract(self, capsys):
         code, out, _ = run_cli(capsys, "frame", "extract", "--identity", "2",
                                "--samples", "300", "--seed", "0")

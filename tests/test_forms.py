@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_workbench.cayley import phi0
-from cayley_workbench.forms import (KForm, basis_vector, blade, evaluate, flat,
-                                    gram_defect, hodge, indices_of, inner, interior,
+from cayley_workbench.forms import (KForm, basis_vector, blade, blade_masks, coeffs_to_form,
+                                    evaluate, flat, gram_defect, hodge, indices_of, inner, interior,
                                     mask_of, merge_sign, restrict, scalar_form,
                                     volume_form, wedge)
 
@@ -308,6 +308,26 @@ def test_blade_validation():
         mask_of((0, 1), 8)
     with pytest.raises(ValueError):
         KForm(8, 2, {0b111: 1})
+    # non-ascending, out of range below and above, wrong length
+    for idx in [(2, 1), (0, 1), (1, 9), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            KForm.from_terms(8, 2, {idx: 1})
+
+
+def test_constructor_owns_its_terms():
+    d = {1: 2}
+    f = KForm(8, 1, d)
+    d[2] = 0
+    d[4] = 7
+    assert f.terms == {1: 2}
+    assert repr(f) == "KForm(8, 1, 2*dx1)"
+
+
+def test_builders_leave_zero_filtering_to_the_constructor():
+    assert flat((0, 3, 0, 0, 0, 0, 0, 0), 8).terms == {0b10: 3}
+    frame = [basis_vector(8, i) for i in (1, 2, 5, 6)]
+    assert restrict(blade(8, 1, 2), frame).terms == {0b11: 1}
+    assert coeffs_to_form(8, 1, [0.0, 2.0] + [0.0] * 6, blade_masks(8, 1)).terms == {0b10: 2.0}
 
 
 def test_fraction_coefficients_stay_exact():

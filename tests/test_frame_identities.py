@@ -153,6 +153,13 @@ class TestExtraction:
         with pytest.raises(ValueError, match="cayley_free sampling needs phi"):
             sample_frames(10, np.random.default_rng(0), cayley_free=True)
 
+    def test_small_form_fits_its_proven_coefficients(self):
+        # one draw, fitted as it comes: no conditioning test rejects a small form
+        phi = as_cayley(1e-10 * P0.form)
+        fit = extract_coefficients(1, 200, 0, phi)
+        c_a, c_b, _ = identity_coefficients(phi, 1)
+        assert (fit.c_a, fit.c_b) == pytest.approx((c_a, c_b), rel=1e-9)
+
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
             extract_coefficients(1, 5, 0, P0)
