@@ -457,7 +457,7 @@ def admissibility_report(a, tol: float = 1e-10) -> AdmissibilityReport:
             match = result
     c = as_cayley(a)
     g = c.orbit_rotation
-    residual = None if g is None else _misfit(c.tensor.reshape(64, 64), g)
+    residual = None if g is None else _misfit(c.tensor, g)
     return AdmissibilityReport(self_dual, norm14, stabilizer_dimension(f), match, residual)
 
 
@@ -483,21 +483,26 @@ def _triple_cross_frame(T: np.ndarray) -> np.ndarray | None:
     return np.column_stack([*np.eye(8)[:3], e4, e5, e5 @ T[0, 1], e5 @ T[0, 2], e5 @ T[1, 2]])
 
 
-def _pair_operator(W: np.ndarray) -> np.ndarray:
-    """g (x) g as a 64 x 64 matrix, for a matrix or a stack of them: a 4-tensor
-    reshaped to 64 x 64 pulls back through g as K^T A K."""
-    K = W[..., :, None, :, None] * W[..., None, :, None, :]
-    return K.reshape(W.shape[:-2] + (64, 64))
+def _pull_back(T: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, g*T) for a 4-tensor T and a matrix or a stack W of matrices g, both as
+    8 x 512 matrices [i, jkl] per g: Y[a, jkl] = T(e_a, g e_j, g e_k, g e_l) pulls
+    back the last three slots and g*T = g^T Y the first.  Each slot is one
+    (..., 8) @ (8, 8) product."""
+    Wt = np.swapaxes(W, -1, -2)
+    lead = W.shape[:-2]
+    X = T.reshape(512, 8) @ W  # [abc, l]
+    X = Wt[..., None, :, :] @ X.reshape(lead + (64, 8, 8))  # [ab, k, l]
+    Y = (Wt[..., None, :, :] @ X.reshape(lead + (8, 8, 64))).reshape(lead + (8, 512))
+    return Y, Wt @ Y
 
 
 @lru_cache(maxsize=1)
 def _reference_frame() -> tuple[np.ndarray, np.ndarray]:
     """phi0's own triple-cross frame g0 (a signed permutation) and the fixed
-    +-1 form g0*phi0, as 64 x 64, onto which every form of the orbit pulls back."""
+    +-1 form g0*phi0, as 8 x 512, onto which every form of the orbit pulls back."""
     T = phi0().tensor
     g0 = _triple_cross_frame(T)
-    K = _pair_operator(g0)
-    return g0, K.T @ T.reshape(64, 64) @ K
+    return g0, _pull_back(T, g0)[1]
 
 
 def _orbit_rotation(T: np.ndarray) -> np.ndarray | None:
@@ -509,17 +514,15 @@ def _orbit_rotation(T: np.ndarray) -> np.ndarray | None:
     if g is None or np.max(np.abs(g.T @ g - np.eye(8))) > _ORBIT_TOL:
         return None
     g0, reference = _reference_frame()
-    K = _pair_operator(g)
-    if np.max(np.abs(K.T @ T.reshape(64, 64) @ K - reference)) > _ORBIT_TOL:
+    if np.max(np.abs(_pull_back(T, g)[1] - reference)) > _ORBIT_TOL:
         return None
     g = g @ g0.T
     return g if np.linalg.det(g) > 0 else None
 
 
-def _misfit(A: np.ndarray, g: np.ndarray) -> float:
-    """Form-norm distance |g*a - phi0|; A is a's tensor reshaped to 64 x 64."""
-    K = _pair_operator(g)
-    R = K.T @ A @ K - phi0().tensor.reshape(64, 64)
+def _misfit(T: np.ndarray, g: np.ndarray) -> float:
+    """Form-norm distance |g*a - phi0|; T is a's 4-tensor."""
+    R = _pull_back(T, g)[1] - phi0().tensor.reshape(8, 512)
     return float(np.sqrt(np.sum(R * R) / 24.0))  # tensor Frobenius^2 = 24 form norm^2
 
 
@@ -552,16 +555,16 @@ def orbit_search(a, steps: int = 400, restarts: int = 4, seed: int = 0) -> Orbit
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     c = as_cayley(a)
-    A = c.tensor.reshape(64, 64)
     if c.orbit_rotation is not None:
-        return OrbitResult(_misfit(A, c.orbit_rotation), c.orbit_rotation, "construction", {})
-    T = phi0().tensor.reshape(64, 64)
+        return OrbitResult(_misfit(c.tensor, c.orbit_rotation), c.orbit_rotation,
+                           "construction", {})
     rng = np.random.default_rng(seed)
     haar = _orthonormal_stack(rng.normal(size=(restarts - 1, 8, 8)))
     haar[np.linalg.det(haar) < 0, :, 0] *= -1
     W = np.concatenate([np.eye(8)[None], haar])
-    rotations, values, stop, *_ = _ascend(partial(_negative_misfit, A, T), W, steps, 0.05,
-                                          gtol=1e-12)
+    target = phi0().tensor.reshape(8, 512)
+    rotations, values, stop, *_ = _ascend(partial(_negative_misfit, c.tensor, target), W, steps,
+                                          0.05, gtol=1e-12)
     best = int(np.argmax(values))
     return OrbitResult(float(np.sqrt(-values[best] / 24.0)), rotations[best], "descent",
                        _stop_counts(stop))
@@ -574,16 +577,15 @@ def orbit_distance(a, steps: int = 400, restarts: int = 4,
     return result.distance, result.rotation
 
 
-def _negative_misfit(A: np.ndarray, T: np.ndarray, W: np.ndarray):
+def _negative_misfit(A: np.ndarray, target: np.ndarray, W: np.ndarray):
     """-|g*a - target|^2 over a stack W of rotations g, with its Riemannian
-    gradient on O(8) and the gradient norms; A and T are the 4-tensors
-    reshaped to 64 x 64, on which g acts as g (x) g on both sides."""
-    K = _pair_operator(W)
-    AK = A @ K
-    R = K.transpose(0, 2, 1) @ AK - T
-    # d|R|^2 = 4 <AK R, dK> with dK = dg (x) g + g (x) dg; antisymmetry makes
-    # the two halves equal
-    G = -8.0 * np.einsum("rijab,rjb->ria", (AK @ R).reshape(-1, 8, 8, 8, 8), W)
+    gradient on O(8) and the gradient norms; A is a's 4-tensor and target is
+    8 x 512 like the pullbacks of ``_pull_back``."""
+    Y, P = _pull_back(A, W)
+    R = P - target
+    # d|R|^2 = 2 <R, d(g*a)>; g*a pulls back through g in four slots and
+    # antisymmetry makes their terms equal, so the gradient is 8 Y R^T
+    G = -8.0 * (Y @ R.transpose(0, 2, 1))
     WtG = W.transpose(0, 2, 1) @ G
     D = G - W @ ((WtG + WtG.transpose(0, 2, 1)) / 2.0)
     return -np.einsum("rpq,rpq->r", R, R), D, np.sqrt(np.einsum("rij,rij->r", D, D))

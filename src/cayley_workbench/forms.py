@@ -213,7 +213,9 @@ class KForm:
         terms = {}
         for t in data["terms"]:
             idx = tuple(int(i) for i in t["idx"])
-            terms[idx] = terms.get(idx, 0) + t["c"]
+            if idx in terms:
+                raise ValueError(f"blade {list(idx)} is listed twice")
+            terms[idx] = t["c"]
         return KForm.from_terms(n, degree, terms)
 
     # -- dense view -------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 from . import octonions
 from .cayley import ConventionMap, as_cayley, as_kform, phi0, phi_octonionic, reconcile
 from .forms import evaluate
+from .octonions import PAIR_BLOCK
 
 DEFAULT_CAYLEY_TOL = 1e-6
 
@@ -230,6 +231,14 @@ def standard_convention() -> ConventionMap:
     return result
 
 
+@lru_cache(maxsize=1)
+def _convention_matrix() -> np.ndarray:
+    """The read-only matrix of ``standard_convention()``."""
+    G = standard_convention().matrix()
+    G.flags.writeable = False
+    return G
+
+
 def octonionic_residual(plane):
     """Residual of the octonion Cayley identity on an orthonormal frame.
 
@@ -243,8 +252,8 @@ def octonionic_residual(plane):
         B = plane.basis
     else:
         B = plane if isinstance(plane, np.ndarray) else orthonormal_frame(plane)
-    pulled = standard_convention().matrix().T @ B
-    return octonions.cayley_identity_residual(*np.moveaxis(pulled, -1, 0))
+    rows = np.swapaxes(B, -1, -2) @ _convention_matrix()  # the frame's vectors, as octonions
+    return octonions.cayley_identity_residual(*(rows[..., j, :] for j in range(4)))
 
 
 def is_cayley_octonionic(plane, tol: float = DEFAULT_CAYLEY_TOL):
@@ -259,7 +268,7 @@ def triple_cross(u, v, w) -> np.ndarray:
     coordinates as x @ G and back as y @ G^T, G the matrix of
     ``standard_convention()``.
     """
-    G = standard_convention().matrix()
+    G = _convention_matrix()
     return octonions.cross3(*(np.asarray(x, dtype=float) @ G for x in (u, v, w))) @ G.T
 
 
@@ -286,9 +295,6 @@ def random_plane(seed: int = 0) -> Plane4:
 
 #: frames per block of the Haar draw's Gram-Schmidt; bounds its temporaries
 CHUNK = 4096
-#: frames per block of the pair-coordinate kernel and of the Cayley-free
-#: projection; keeps their temporaries in cache
-PAIR_BLOCK = 256
 
 
 def _orthonormal_stack(A: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ import pytest
 
 from cayley_workbench import octonions as o
 from cayley_workbench.cayley import (BestMismatch, CayleyForm, ConventionMap,
-                                     _action_rows, _exact_rank, admissibility_report,
+                                     _action_rows, _exact_rank, _negative_misfit,
+                                     admissibility_report,
                                      derivation_action, orbit_distance, orbit_search, phi0,
                                      phi_octonionic, reconcile, stabilizer_dimension)
 from cayley_workbench.forms import (KForm, blade, blade_masks, evaluate, hodge,
@@ -402,6 +403,20 @@ def _rotated_phi0(seed):
     return _from_tensor(_rotate(phi0().tensor, _haar_rotation(seed)))
 
 
+def _kronecker_negative_misfit(A, T, W):
+    """The orbit objective through K = g (x) g: A and T are 4-tensors reshaped to
+    64 x 64, which pull back through g as K^T A K; an independent reference."""
+    K = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, 64, 64)
+    AK = A @ K
+    R = K.transpose(0, 2, 1) @ AK - T
+    # d|R|^2 = 4 <AK R, dK> with dK = dg (x) g + g (x) dg; antisymmetry makes
+    # the two halves equal
+    G = -8.0 * np.einsum("rijab,rjb->ria", (AK @ R).reshape(-1, 8, 8, 8, 8), W)
+    WtG = W.transpose(0, 2, 1) @ G
+    D = G - W @ ((WtG + WtG.transpose(0, 2, 1)) / 2.0)
+    return -np.einsum("rpq,rpq->r", R, R), D, np.sqrt(np.einsum("rij,rij->r", D, D))
+
+
 class TestOrbitDescent:
     def _check(self, a, dist, g):
         # the rotation lies in SO(8) and reproduces the distance it reports
@@ -447,6 +462,32 @@ class TestOrbitDescent:
         assert result.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 0,
                                 "gain_below_ulp": 4}
         assert abs(result.distance - np.sqrt(13)) < 1e-12
+
+    @pytest.mark.parametrize("rotations", [1, 2, 4])
+    def test_objective_matches_the_kronecker_pullback(self, rotations):
+        rng = np.random.default_rng(rotations)
+        A = KForm(8, 4, {m: float(rng.normal()) for m in blade_masks(8, 4)}).to_tensor()
+        W = np.stack([_haar_so8(rng) for _ in range(rotations)])
+        T = phi0().tensor
+        got = _negative_misfit(A, T.reshape(8, 512), W)
+        want = _kronecker_negative_misfit(A.reshape(64, 64), T.reshape(64, 64), W)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_near_orbit_form_descends_below_its_perturbation(self, seed):
+        # +1e-9 on five blades leaves the orbit by more than the construction's
+        # tolerance; the descent must still resolve a distance of order 1e-9,
+        # below the perturbation's own norm sqrt(5) * 1e-9
+        a = _rotated_phi0(seed)
+        near = KForm(8, 4, {**a.terms,
+                            **{m: a.terms.get(m, 0.0) + 1e-9 for m in blade_masks(8, 4)[:5]}})
+        result = orbit_search(near)
+        assert result.method == "descent"
+        assert result.stops == {"gtol": 0, "line_search_stall": 0, "step_budget": 0,
+                                "gain_below_ulp": 4}
+        assert 0.0 < result.distance <= np.sqrt(5) * 1e-9
 
     @pytest.mark.parametrize("form", [2 * phi0().form, BROKEN_PHI0, blade(8, 1, 2, 3, 4)],
                              ids=["2phi0", "broken", "blade"])

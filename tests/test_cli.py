@@ -318,6 +318,15 @@ class TestErrorPaths:
         assert code == 2
         assert "No such file" in err
 
+    def test_repeated_blade_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"n": 8, "degree": 4,
+                                    "terms": [{"idx": [1, 2, 3, 4], "c": 1},
+                                              {"idx": [1, 2, 3, 4], "c": -1}]}))
+        code, out, err = run_cli(capsys, "phi", "check", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "listed twice" in err
+
     def test_wrong_vector_count(self, capsys, tmp_path):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"vectors": [[0] * 8] * 3}))

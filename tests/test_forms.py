@@ -270,6 +270,13 @@ class TestSerialization:
         a = KForm.from_terms(8, 4, {(1, 2, 3, 4): 1, (1, 3, 6, 8): -1})
         assert KForm.from_json_dict(a.to_json_dict()) == a
 
+    def test_json_rejects_a_repeated_blade(self):
+        # the two entries would otherwise cancel into the zero form
+        data = {"n": 8, "degree": 4, "terms": [{"idx": [1, 2, 3, 4], "c": 1},
+                                               {"idx": [1, 2, 3, 4], "c": -1}]}
+        with pytest.raises(ValueError, match="listed twice"):
+            KForm.from_json_dict(data)
+
     def test_json_shape(self):
         d = blade(8, 1, 2).to_json_dict()
         assert d == {"n": 8, "degree": 2, "terms": [{"idx": [1, 2], "c": 1}]}

@@ -1,11 +1,14 @@
 """Octonion algebra: table facts, composition laws, triple cross, Cayley residual."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
 from cayley_workbench import octonions as o
+from cayley_workbench.cayley import phi0
 from cayley_workbench.octonions import _cd_conj, _cd_mul
+from cayley_workbench.planes import standard_convention
 
 
 def rand_pair(rng):
@@ -49,6 +52,61 @@ class TestTable:
                 k, s = o.MUL_TABLE[i][j]
                 assert o.STRUCTURE[i, j, k] == s
                 assert np.count_nonzero(o.STRUCTURE[i, j]) == 1
+
+
+def _cross2_tensor() -> np.ndarray:
+    """C[i, j, k, l]: e_l coefficient of e_i (conj(e_j) e_k) - e_k (conj(e_j) e_i), read
+    off CROSS_PAIRS, which holds the pairs i < k; the rest follow by antisymmetry."""
+    C = np.zeros((8,) * 4, dtype=int)
+    for p, (i, k) in enumerate(combinations(range(8), 2)):
+        C[i, :, k] = o.CROSS_PAIRS[p]
+        C[k, :, i] = -o.CROSS_PAIRS[p]
+    return C
+
+
+class TestCrossTables:
+    def test_cross_table_is_the_doubling_chain_on_every_basis_triple(self):
+        C = _cross2_tensor()
+        units = [list(o.basis(i)) for i in range(8)]
+        for i, j, k in product(range(8), repeat=3):
+            cj = _cd_conj(units[j])
+            chain = [p - q for p, q in zip(_cd_mul(units[i], _cd_mul(cj, units[k])),
+                                           _cd_mul(units[k], _cd_mul(cj, units[i])))]
+            assert C[i, j, k].tolist() == chain
+            half = o.cross3(o.basis(i), o.basis(j), o.basis(k))
+            assert [2 * c for c in half] == chain
+
+    def test_cross_table_pulls_back_to_twice_phi0(self):
+        # <x (conj(y) z) - z (conj(y) x), w> in R^8 coordinates is 2 phi0(x, y, z, w)
+        G = standard_convention().matrix().astype(int)
+        pulled = np.einsum("ijkl,ai,bj,ck,dl->abcd", _cross2_tensor(), G, G, G, G)
+        assert np.array_equal(pulled, 2 * phi0().tensor)
+
+    def test_im_table_is_the_imaginary_part_of_x_conj_y(self):
+        for i, j in product(range(8), repeat=2):
+            prod = _cd_mul(list(o.basis(i)), _cd_conj(list(o.basis(j))))
+            assert o.IM_CONJ[8 * i + j].tolist() == prod[1:]
+
+    def test_blocked_stack_matches_its_rows(self):
+        # 600 rows cross the block edges at 256 and 512
+        rng = np.random.default_rng(10)
+        x, y, z, u = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                      for v in rng.normal(size=(4, 600, 8)))
+        cross, residual = o.cross3(x, y, z), o.cayley_identity_residual(x, y, z, u)
+        assert cross.shape == (600, 8) and residual.shape == (600,)
+        for n in range(600):
+            assert np.max(np.abs(cross[n] - o.cross3(x[n], y[n], z[n]))) <= 1e-15
+            assert abs(residual[n] - o.cayley_identity_residual(x[n], y[n], z[n], u[n])) <= 1e-15
+
+    def test_cayley_residual_of_int_tuples_is_the_exact_chain(self):
+        rng = np.random.default_rng(11)
+        x, y, z, u = ([int(c) for c in rng.integers(-3, 4, size=8)] for _ in range(4))
+        cy, cu = _cd_conj(y), _cd_conj(u)
+        diff = [p - q for p, q in zip(_cd_mul(_cd_mul(x, _cd_mul(cy, z)), cu),
+                                      _cd_mul(_cd_mul(z, _cd_mul(cy, x)), cu))]
+        assert any(diff[1:])
+        want = float(np.sqrt(sum(c * c for c in diff[1:])))
+        assert o.cayley_identity_residual(x, y, z, u) == want
 
 
 class TestLaws:
